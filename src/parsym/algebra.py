@@ -41,7 +41,7 @@ from .diagrams import (
     tensor,
     tensor_factorize,
 )
-from .linear import LinearCombination
+from .linear import FreeHopf, LinearCombination, multiplicative
 from .sequences import compositions
 
 DEFAULT_TAKEUCHI_CAP = 4
@@ -89,6 +89,11 @@ def multiply(a: ParSymElement, b: ParSymElement) -> ParSymElement:
     return a * b
 
 
+def _factors(d: PartitionDiagram) -> list[PartitionDiagram]:
+    # the tensor-irreducible generators of a word; none for the empty word
+    return tensor_factorize(d) if d.order else []
+
+
 @functools.lru_cache(maxsize=1 << 16)
 def _generator_split_pairs(
     pi: PartitionDiagram,
@@ -107,21 +112,15 @@ def _generator_split_pairs(
 
 @functools.lru_cache(maxsize=1 << 16)
 def _coproduct_word(d: PartitionDiagram) -> DiagramTensor:
-    if d.is_empty():
-        return DiagramTensor.one()
-    out = DiagramTensor.one()
-    for pi in tensor_factorize(d):
-        out = out * DiagramTensor(
-            {pair: 1 for pair in _generator_split_pairs(pi)}
-        )
-    return out
+    return multiplicative(
+        _factors(d),
+        lambda pi: DiagramTensor(dict.fromkeys(_generator_split_pairs(pi), 1)),
+        DiagramTensor.one(),
+    )
 
 
 def coproduct(a: ParSymElement) -> DiagramTensor:
-    out = DiagramTensor.zero()
-    for d, coeff in a.terms.items():
-        out = out + coeff * _coproduct_word(d)
-    return out
+    return a.extend(_coproduct_word, DiagramTensor)
 
 
 def coproduct_pairs(pi: PartitionDiagram) -> list[tuple[PartitionDiagram, PartitionDiagram]]:
@@ -182,21 +181,17 @@ def _antipode_generator(pi: PartitionDiagram, degree_sign: bool) -> ParSymElemen
 
 @functools.lru_cache(maxsize=1 << 16)
 def _antipode_word(d: PartitionDiagram) -> ParSymElement:
-    if d.is_empty():
-        return ParSymElement.one()
-    out = ParSymElement.one()
-    for pi in reversed(tensor_factorize(d)):
-        out = out * _antipode_generator(pi, False)
-    return out
+    return multiplicative(
+        reversed(_factors(d)),
+        lambda pi: _antipode_generator(pi, False),
+        ParSymElement.one(),
+    )
 
 
 def antipode(a: ParSymElement) -> ParSymElement:
     """Closed-form antipode: antimorphism extension of the signed
     regrouping sum on irreducible generators."""
-    out = ParSymElement.zero()
-    for d, coeff in a.terms.items():
-        out = out + coeff * _antipode_word(d)
-    return out
+    return a.extend(_antipode_word)
 
 
 def takeuchi_antipode(
@@ -207,31 +202,25 @@ def takeuchi_antipode(
     degree = a.homogeneous_degree()
     if degree > max_degree:
         raise CapExceeded(f"Takeuchi evaluation capped at degree {max_degree}")
-    raw = hopfcheck.takeuchi(PARSYM_OPS, a.terms, degree)
-    return ParSymElement(raw)
+    return hopfcheck.takeuchi(PARSYM, a, degree)
 
 
 def e_basis_expand(d: PartitionDiagram) -> ParSymElement:
     """The elementary-like basis element indexed by d, in the H-basis."""
-    if d.is_empty():
-        return ParSymElement.one()
-    out = ParSymElement.one()
-    for pi in tensor_factorize(d):
-        out = out * _antipode_generator(pi, True)
-    return out
+    return multiplicative(
+        _factors(d), lambda pi: _antipode_generator(pi, True), ParSymElement.one()
+    )
 
 
 def character_zeta(a: ParSymElement) -> int:
     """The canonical multiplicative character: 1 on a basis word iff every
     tensor-irreducible factor is bullet-irreducible (so 1 on both order-one
     diagrams and on the empty diagram), extended linearly."""
-    total = 0
-    for d, coeff in a.terms.items():
-        if d.is_empty() or all(
-            m_statistic(pi) == 1 for pi in tensor_factorize(d)
-        ):
-            total += coeff
-    return total
+    return sum(
+        coeff
+        for d, coeff in a.terms.items()
+        if all(m_statistic(pi) == 1 for pi in _factors(d))
+    )
 
 
 @dataclass(frozen=True)
@@ -271,85 +260,47 @@ def _det_bareiss(rows: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _det_by_word_length(
-    basis: list[PartitionDiagram], rows: list[list[int]]
-) -> int:
-    # E_w = +-H_w plus words with strictly more irreducible factors, so the
-    # matrix is triangular after sorting by factor count; verify and multiply.
-    lengths = [len(tensor_factorize(d)) for d in basis]
-    order = sorted(range(len(basis)), key=lambda i: lengths[i])
-    det = 1
-    for a, i in enumerate(order):
-        for b, j in enumerate(order):
-            value = rows[i][j]
-            if a == b:
-                if value not in (1, -1):
-                    raise ArithmeticError("diagonal entry not a unit")
-                det *= value
-            elif b < a and value != 0:
-                raise ArithmeticError("matrix is not triangular by word length")
-    return det
-
-
 def e_h_matrix(n: int, max_degree: int = DEFAULT_MATRIX_CAP) -> EHMatrix:
     """Expand every degree-n E-element in the H-basis over the enumeration
-    ordering and report the determinant (a unit iff E is a basis)."""
+    ordering and report the determinant (a unit iff E is a basis).  Each
+    E_w is checked to be +-H_w plus words with more tensor factors, so the
+    matrix is triangular by factor count and det is the diagonal product."""
     if n > max_degree:
         raise CapExceeded(f"matrix construction capped at degree {max_degree}")
     basis = list(enumerate_diagrams(n))
     index = {d: i for i, d in enumerate(basis)}
     rows = []
+    det = 1
     for d in basis:
-        expansion = e_basis_expand(d)
+        length = len(_factors(d))
         row = [0] * len(basis)
-        for word, coeff in expansion.terms.items():
+        for word, coeff in e_basis_expand(d).terms.items():
             row[index[word]] = coeff
+            if word != d and len(_factors(word)) <= length:
+                raise ArithmeticError("matrix is not triangular by word length")
+        if row[index[d]] not in (1, -1):
+            raise ArithmeticError("diagonal entry not a unit")
+        det *= row[index[d]]
         rows.append(row)
-    if len(basis) <= 256:
-        det = _det_bareiss(rows)
-    else:
-        det = _det_by_word_length(basis, rows)
     return EHMatrix(n, tuple(basis), tuple(tuple(r) for r in rows), det)
 
 
-# ---------------------------------------------------------------------------
-# Hopf-structure adapter used by the generic verification harness
-
-
-class _ParSymOps:
-    name = "parsym"
-
-    @staticmethod
-    def degree(key: PartitionDiagram) -> int:
-        return key.order
-
-    unit_key = EMPTY_DIAGRAM
-
-    @staticmethod
-    def mul_key(a: PartitionDiagram, b: PartitionDiagram) -> PartitionDiagram:
-        return tensor(a, b)
-
-    @staticmethod
-    def coproduct_key(key: PartitionDiagram) -> dict:
-        return _coproduct_word(key).terms
-
-    @staticmethod
-    def antipode_key(key: PartitionDiagram) -> dict:
-        return _antipode_word(key).terms
-
-    @staticmethod
-    def basis(degree: int):
-        return enumerate_diagrams(degree)
-
-    @staticmethod
-    def render_key(key: PartitionDiagram) -> str:
-        return render(key)
-
-
-PARSYM_OPS = _ParSymOps()
+PARSYM = FreeHopf(
+    name="parsym",
+    element=ParSymElement,
+    tensor=DiagramTensor,
+    degree=lambda d: d.order,
+    coproduct_word=_coproduct_word,
+    antipode_word=_antipode_word,
+    basis=enumerate_diagrams,
+    render=render,
+)
 
 
 def verify_hopf_axioms(max_degree: int, seed: int = 20240) -> "hopfcheck.AxiomReport":
     """Check all Hopf axioms on every basis diagram of order <= max_degree,
-    plus seeded random elements and pairs.  See :mod:`parsym.hopfcheck`."""
-    return hopfcheck.verify_axioms(PARSYM_OPS, max_degree, seed=seed)
+    plus seeded random elements and pairs.  See :mod:`parsym.hopfcheck`.
+    Refuses degrees above the Takeuchi cap, which the last axiom needs."""
+    if max_degree > DEFAULT_TAKEUCHI_CAP:
+        raise CapExceeded(f"Hopf axiom check capped at degree {DEFAULT_TAKEUCHI_CAP}")
+    return hopfcheck.verify_axioms(PARSYM, max_degree, seed=seed)

@@ -68,8 +68,8 @@ class PartitionDiagram:
     blocks: tuple[tuple[int, ...], ...]
 
     def __init__(self, order: int, blocks: Iterable[Iterable[int]]):
-        if order < 0:
-            raise ValueError("order must be nonnegative")
+        if type(order) is not int or order < 0:
+            raise ValueError("order must be a nonnegative integer")
         canonical = tuple(
             sorted(
                 (tuple(sorted(block, key=_node_key)) for block in blocks),
@@ -171,7 +171,13 @@ def to_json_obj(d: PartitionDiagram) -> dict:
 
 
 def from_json_obj(obj: dict) -> PartitionDiagram:
-    return PartitionDiagram(obj["order"], obj["blocks"])
+    blocks = obj.get("blocks") if isinstance(obj, dict) else None
+    if not isinstance(blocks, list) or not all(
+        isinstance(block, list) and all(type(v) is int for v in block)
+        for block in blocks
+    ):
+        raise ValueError('expected {"order": k, "blocks": [[int, ...], ...]}')
+    return PartitionDiagram(obj.get("order"), blocks)
 
 
 # ---------------------------------------------------------------------------

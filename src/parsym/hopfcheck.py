@@ -1,15 +1,11 @@
-"""Generic verification harness for graded connected Hopf algebra data.
+"""Generic verification harness for graded connected Hopf algebras that are
+free as algebras.
 
-Works over raw dict elements {basis key: int} through a small adapter
-object providing::
-
-    unit_key            -- basis key of the unit
-    degree(key)         -- grading
-    mul_key(a, b)       -- basis product (monomial to monomial)
-    coproduct_key(key)  -- dict {(left, right): int}
-    antipode_key(key)   -- dict {key: int}, the closed-form antipode
-    basis(degree)       -- iterable of basis keys
-    render_key(key)     -- printable form for counterexample reports
+Works on elements through a :class:`parsym.linear.FreeHopf` description:
+elements of ``hopf.element`` multiply as words, elements of ``hopf.tensor``
+multiply componentwise, and ``hopf.coproduct`` / ``hopf.antipode`` are the
+linear extensions of the cached word maps.  Multi-leg tensors, which have no
+product, are plain :class:`LinearCombination` values on tuple keys.
 
 Takeuchi's formula  S = sum_k (-1)^k mul^(k-1) proj^(x k) Delta^(k-1),
 with proj killing degree zero, is evaluated here and used as the oracle
@@ -18,9 +14,13 @@ for the closed-form antipode.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
+
+from .linear import FreeHopf, LinearCombination
 
 AXIOM_NAMES = (
     "coassociativity",
@@ -33,66 +33,39 @@ AXIOM_NAMES = (
 )
 
 
-def _add_into(acc: dict, key, coeff: int) -> None:
-    value = acc.get(key, 0) + coeff
-    if value:
-        acc[key] = value
-    else:
-        acc.pop(key, None)
+def _degree_zero(hopf: FreeHopf, a: LinearCombination) -> LinearCombination:
+    # the unit component counit(a) * 1 of a connected graded algebra
+    return hopf.element(
+        (key, coeff) for key, coeff in a.terms.items() if hopf.degree(key) == 0
+    )
 
 
-def _mul_elements(ops, a: dict, b: dict) -> dict:
-    out: dict = {}
-    for k1, c1 in a.items():
-        for k2, c2 in b.items():
-            _add_into(out, ops.mul_key(k1, k2), c1 * c2)
-    return out
+def iterated_coproducts(hopf: FreeHopf, a: LinearCombination) -> Iterator[LinearCombination]:
+    """The coproduct iterated to 1, 2, 3, ... tensor legs (keys become
+    tuples of basis keys), each from the one before; the first is a itself."""
+    out = LinearCombination({(key,): coeff for key, coeff in a.terms.items()})
+    while True:
+        yield out
+        out = LinearCombination(
+            (tup[:-1] + pair, coeff * c)
+            for tup, coeff in out.terms.items()
+            for pair, c in hopf.coproduct_word(tup[-1]).terms.items()
+        )
 
 
-def _coproduct_element(ops, a: dict) -> dict:
-    out: dict = {}
-    for key, coeff in a.items():
-        for pair, c in ops.coproduct_key(key).items():
-            _add_into(out, pair, coeff * c)
-    return out
-
-
-def _antipode_element(ops, a: dict) -> dict:
-    out: dict = {}
-    for key, coeff in a.items():
-        for k, c in ops.antipode_key(key).items():
-            _add_into(out, k, coeff * c)
-    return out
-
-
-def iterated_coproduct(ops, a: dict, legs: int) -> dict:
-    """Coproduct iterated to the given number of tensor legs (keys become
-    tuples of basis keys); legs = 1 returns the element itself."""
-    out = {(key,): coeff for key, coeff in a.items()}
-    for _ in range(legs - 1):
-        nxt: dict = {}
-        for tup, coeff in out.items():
-            for (left, right), c in ops.coproduct_key(tup[-1]).items():
-                _add_into(nxt, tup[:-1] + (left, right), coeff * c)
-        out = nxt
-    return out
-
-
-def takeuchi(ops, a: dict, degree: int) -> dict:
+def takeuchi(hopf: FreeHopf, a: LinearCombination, degree: int) -> LinearCombination:
     """Evaluate Takeuchi's antipode formula on an element whose nonzero
     terms all live in degrees <= degree.  The sum truncates at k = degree
     because each projected leg carries degree at least one."""
-    result: dict = {}
-    _add_into(result, ops.unit_key, a.get(ops.unit_key, 0))
-    for k in range(1, degree + 1):
+    mul = hopf.element._mul_key
+    result = _degree_zero(hopf, a)
+    for k, legs in zip(range(1, degree + 1), iterated_coproducts(hopf, a)):
         sign = -1 if k % 2 else 1
-        for tup, coeff in iterated_coproduct(ops, a, k).items():
-            if any(ops.degree(key) == 0 for key in tup):
-                continue
-            word = tup[0]
-            for key in tup[1:]:
-                word = ops.mul_key(word, key)
-            _add_into(result, word, sign * coeff)
+        result = result + hopf.element(
+            (functools.reduce(mul, tup), sign * coeff)
+            for tup, coeff in legs.terms.items()
+            if all(hopf.degree(key) for key in tup)
+        )
     return result
 
 
@@ -122,33 +95,30 @@ class AxiomReport:
         return [r.line() for r in self.results]
 
 
-def _describe(ops, a: dict) -> str:
-    parts = [f"{c}*{ops.render_key(k)}" for k, c in sorted(
-        a.items(), key=lambda item: (ops.degree(item[0]), ops.render_key(item[0]))
+def _describe(hopf: FreeHopf, a: LinearCombination) -> str:
+    parts = [f"{c}*{hopf.render(k)}" for k, c in sorted(
+        a.terms.items(), key=lambda item: (hopf.degree(item[0]), hopf.render(item[0]))
     )]
     return " + ".join(parts) if parts else "0"
 
 
-def verify_axioms(ops, max_degree: int, seed: int = 20240) -> AxiomReport:
+def verify_axioms(hopf: FreeHopf, max_degree: int, seed: int = 20240) -> AxiomReport:
     """Check coassociativity, the counit laws, product compatibility, both
     antipode composites, the antimorphism law and agreement with Takeuchi,
     over every basis element up to max_degree plus seeded random elements."""
     rng = random.Random(seed)
-    unit = ops.unit_key
-    levels = {n: list(ops.basis(n)) for n in range(max_degree + 1)}
+    element, mul = hopf.element, hopf.element._mul_key
+    levels = {n: list(hopf.basis(n)) for n in range(max_degree + 1)}
 
-    def random_element(homogeneous: bool) -> dict:
-        out: dict = {}
+    def random_element(homogeneous: bool) -> LinearCombination:
         if homogeneous:
             degrees = [rng.randint(0, max_degree)] * 3
         else:
             degrees = [rng.randint(0, max_degree) for _ in range(3)]
-        for n in degrees:
-            _add_into(out, rng.choice(levels[n]), rng.randint(-3, 3))
-        return out
+        return element((rng.choice(levels[n]), rng.randint(-3, 3)) for n in degrees)
 
     singletons = [
-        {key: 1} for n in range(max_degree + 1) for key in levels[n]
+        element.basis(key) for n in range(max_degree + 1) for key in levels[n]
     ]
     mixed = [random_element(homogeneous=False) for _ in range(10)]
     homogeneous = [random_element(homogeneous=True) for _ in range(10)]
@@ -160,32 +130,30 @@ def verify_axioms(ops, max_degree: int, seed: int = 20240) -> AxiomReport:
     # coassociativity: (id x Delta) Delta = (Delta x id) Delta
     failure = None
     for a in itertools.chain(singletons, mixed):
-        pairs = _coproduct_element(ops, a)
-        left: dict = {}
-        right: dict = {}
-        for (x, y), coeff in pairs.items():
-            for (u, v), c in ops.coproduct_key(x).items():
-                _add_into(left, (u, v, y), coeff * c)
-            for (u, v), c in ops.coproduct_key(y).items():
-                _add_into(right, (x, u, v), coeff * c)
+        pairs = hopf.coproduct(a).terms.items()
+        left = LinearCombination(
+            ((u, v, y), coeff * c)
+            for (x, y), coeff in pairs
+            for (u, v), c in hopf.coproduct_word(x).terms.items()
+        )
+        right = LinearCombination(
+            ((x, u, v), coeff * c)
+            for (x, y), coeff in pairs
+            for (u, v), c in hopf.coproduct_word(y).terms.items()
+        )
         if left != right:
-            failure = f"at {_describe(ops, a)}"
+            failure = f"at {_describe(hopf, a)}"
             break
     record("coassociativity", failure)
 
     # counit laws: (eps x id) Delta = id = (id x eps) Delta
     failure = None
     for a in itertools.chain(singletons, mixed):
-        pairs = _coproduct_element(ops, a)
-        left: dict = {}
-        right: dict = {}
-        for (x, y), coeff in pairs.items():
-            if x == unit:
-                _add_into(left, y, coeff)
-            if y == unit:
-                _add_into(right, x, coeff)
+        pairs = hopf.coproduct(a).terms.items()
+        left = element((y, coeff) for (x, y), coeff in pairs if hopf.degree(x) == 0)
+        right = element((x, coeff) for (x, y), coeff in pairs if hopf.degree(y) == 0)
         if left != a or right != a:
-            failure = f"at {_describe(ops, a)}"
+            failure = f"at {_describe(hopf, a)}"
             break
     record("counit", failure)
 
@@ -194,19 +162,8 @@ def verify_axioms(ops, max_degree: int, seed: int = 20240) -> AxiomReport:
     pool = singletons + mixed
     for _ in range(60):
         a, b = rng.choice(pool), rng.choice(pool)
-        product_side = _coproduct_element(ops, _mul_elements(ops, a, b))
-        tensor_side: dict = {}
-        pa = _coproduct_element(ops, a)
-        pb = _coproduct_element(ops, b)
-        for (x1, y1), c1 in pa.items():
-            for (x2, y2), c2 in pb.items():
-                _add_into(
-                    tensor_side,
-                    (ops.mul_key(x1, x2), ops.mul_key(y1, y2)),
-                    c1 * c2,
-                )
-        if product_side != tensor_side:
-            failure = f"at {_describe(ops, a)} ; {_describe(ops, b)}"
+        if hopf.coproduct(a * b) != hopf.coproduct(a) * hopf.coproduct(b):
+            failure = f"at {_describe(hopf, a)} ; {_describe(hopf, b)}"
             break
     record("compatibility", failure)
 
@@ -214,18 +171,21 @@ def verify_axioms(ops, max_degree: int, seed: int = 20240) -> AxiomReport:
     for name, side in (("antipode-left", 0), ("antipode-right", 1)):
         failure = None
         for a in itertools.chain(singletons, mixed):
-            expected: dict = {}
-            _add_into(expected, unit, a.get(unit, 0))
-            acc: dict = {}
-            for (x, y), coeff in _coproduct_element(ops, a).items():
-                if side == 0:
-                    piece = _mul_elements(ops, _antipode_element(ops, {x: 1}), {y: 1})
-                else:
-                    piece = _mul_elements(ops, {x: 1}, _antipode_element(ops, {y: 1}))
-                for k, c in piece.items():
-                    _add_into(acc, k, coeff * c)
-            if acc != expected:
-                failure = f"at {_describe(ops, a)}"
+            pairs = hopf.coproduct(a).terms.items()
+            if side == 0:
+                composite = element(
+                    (mul(k, y), coeff * c)
+                    for (x, y), coeff in pairs
+                    for k, c in hopf.antipode_word(x).terms.items()
+                )
+            else:
+                composite = element(
+                    (mul(x, k), coeff * c)
+                    for (x, y), coeff in pairs
+                    for k, c in hopf.antipode_word(y).terms.items()
+                )
+            if composite != _degree_zero(hopf, a):
+                failure = f"at {_describe(hopf, a)}"
                 break
         record(name, failure)
 
@@ -233,22 +193,18 @@ def verify_axioms(ops, max_degree: int, seed: int = 20240) -> AxiomReport:
     failure = None
     for _ in range(60):
         a, b = rng.choice(pool), rng.choice(pool)
-        lhs = _antipode_element(ops, _mul_elements(ops, a, b))
-        rhs = _mul_elements(
-            ops, _antipode_element(ops, b), _antipode_element(ops, a)
-        )
-        if lhs != rhs:
-            failure = f"at {_describe(ops, a)} ; {_describe(ops, b)}"
+        if hopf.antipode(a * b) != hopf.antipode(b) * hopf.antipode(a):
+            failure = f"at {_describe(hopf, a)} ; {_describe(hopf, b)}"
             break
     record("antihomomorphism", failure)
 
     # closed form S agrees with Takeuchi's formula
     failure = None
     for a in itertools.chain(singletons, homogeneous):
-        degree = max((ops.degree(k) for k in a), default=0)
-        if takeuchi(ops, a, degree) != _antipode_element(ops, a):
-            failure = f"at {_describe(ops, a)}"
+        degree = max((hopf.degree(k) for k in a.terms), default=0)
+        if takeuchi(hopf, a, degree) != hopf.antipode(a):
+            failure = f"at {_describe(hopf, a)}"
             break
     record("takeuchi", failure)
 
-    return AxiomReport(ops.name, max_degree, tuple(results))
+    return AxiomReport(hopf.name, max_degree, tuple(results))

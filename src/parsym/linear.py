@@ -1,14 +1,20 @@
-"""Free Z-modules on hashable basis keys, shared by all element types.
+"""Free Z-modules on hashable basis keys, and the free-Hopf-algebra kernel
+shared by the diagram algebra and NSym.
 
 An element is a finite map key -> nonzero int.  Subclasses fix the basis
 product through ``_mul_key`` (all products here send basis elements to
 single basis elements, so no signs or expansions appear at this level).
 Instances are treated as immutable: operations always build fresh dicts.
+
+Both Hopf algebras are free, so Delta and S of a word are the product, or the
+reversed product, of their values on its generators (:func:`multiplicative`);
+maps on elements are linear extensions (:meth:`LinearCombination.extend`).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
+from typing import NamedTuple
 
 
 class LinearCombination:
@@ -20,10 +26,11 @@ class LinearCombination:
         items = terms.items() if isinstance(terms, Mapping) else terms
         data = {}
         for key, coeff in items:
-            if coeff:
-                data[key] = data.get(key, 0) + coeff
-                if not data[key]:
-                    del data[key]
+            value = data.get(key, 0) + coeff
+            if value:
+                data[key] = value
+            else:
+                data.pop(key, None)
         self.terms = data
 
     @staticmethod
@@ -92,9 +99,47 @@ class LinearCombination:
         out.terms = data
         return out
 
+    def extend(self, f: Callable, cls: type | None = None):
+        """The linear extension of f (basis key -> element of cls, by
+        default this element's type) evaluated here, in one dict."""
+        return (cls or type(self))(
+            (k, coeff * c)
+            for key, coeff in self.terms.items()
+            for k, c in f(key).terms.items()
+        )
+
     def coefficient(self, key) -> int:
         return self.terms.get(key, 0)
 
     def __repr__(self) -> str:
         name = type(self).__name__
         return f"{name}({self.terms!r})"
+
+
+def multiplicative(factors: Iterable, value: Callable, one: LinearCombination):
+    """The product of value(f) over the factors in order, starting at one:
+    the multiplicative extension of a map on generators to a word."""
+    out = one
+    for factor in factors:
+        out = out * value(factor)
+    return out
+
+
+class FreeHopf(NamedTuple):
+    """A graded connected Hopf algebra, free as an algebra, given by its
+    element and tensor-square types and its maps on basis words."""
+
+    name: str
+    element: type
+    tensor: type
+    degree: Callable
+    coproduct_word: Callable
+    antipode_word: Callable
+    basis: Callable
+    render: Callable
+
+    def coproduct(self, a: LinearCombination) -> LinearCombination:
+        return a.extend(self.coproduct_word, self.tensor)
+
+    def antipode(self, a: LinearCombination) -> LinearCombination:
+        return a.extend(self.antipode_word)

@@ -20,17 +20,13 @@ Bridges:
 from __future__ import annotations
 
 import functools
+import itertools
 import re
 
 from . import hopfcheck
-from .algebra import ParSymElement, h
-from .diagrams import (
-    CapExceeded,
-    PartitionDiagram,
-    m_statistic,
-    tensor_factorize,
-)
-from .linear import LinearCombination
+from .algebra import ParSymElement, _factors, h
+from .diagrams import CapExceeded, PartitionDiagram, m_statistic
+from .linear import FreeHopf, LinearCombination, multiplicative
 from .sequences import compositions
 
 Composition = tuple[int, ...]
@@ -102,21 +98,17 @@ def nsym_multiply(a: NSymElement, b: NSymElement) -> NSymElement:
 
 @functools.lru_cache(maxsize=None)
 def _coproduct_word(alpha: Composition) -> NSymTensor:
-    out = NSymTensor.one()
-    for part in alpha:
-        split = NSymTensor(
-            {(((i,) if i else ()), ((part - i,) if part - i else ())): 1
-             for i in range(part + 1)}
-        )
-        out = out * split
-    return out
+    return multiplicative(alpha, _coproduct_generator, NSymTensor.one())
+
+
+def _coproduct_generator(n: int) -> NSymTensor:
+    return NSymTensor(
+        {(((i,) if i else ()), ((n - i,) if n - i else ())): 1 for i in range(n + 1)}
+    )
 
 
 def nsym_coproduct(a: NSymElement) -> NSymTensor:
-    out = NSymTensor.zero()
-    for alpha, coeff in a.terms.items():
-        out = out + coeff * _coproduct_word(alpha)
-    return out
+    return a.extend(_coproduct_word, NSymTensor)
 
 
 def nsym_counit(a: NSymElement) -> int:
@@ -130,17 +122,11 @@ def _antipode_generator(n: int) -> NSymElement:
 
 @functools.lru_cache(maxsize=None)
 def _antipode_word(alpha: Composition) -> NSymElement:
-    out = NSymElement.one()
-    for part in reversed(alpha):
-        out = out * _antipode_generator(part)
-    return out
+    return multiplicative(reversed(alpha), _antipode_generator, NSymElement.one())
 
 
 def nsym_antipode(a: NSymElement) -> NSymElement:
-    out = NSymElement.zero()
-    for alpha, coeff in a.terms.items():
-        out = out + coeff * _antipode_word(alpha)
-    return out
+    return a.extend(_antipode_word)
 
 
 def nsym_e(n: int) -> NSymElement:
@@ -194,26 +180,20 @@ def phi_generator(n: int) -> PartitionDiagram:
 
 def phi(a: NSymElement) -> ParSymElement:
     """The embedding determined by H_n -> H(phi_generator(n))."""
-    out = ParSymElement.zero()
-    for alpha, coeff in a.terms.items():
-        word = ParSymElement.one()
-        for part in alpha:
-            word = word * h(phi_generator(part))
-        out = out + coeff * word
-    return out
+    return a.extend(
+        lambda alpha: multiplicative(
+            alpha, lambda n: h(phi_generator(n)), ParSymElement.one()
+        ),
+        ParSymElement,
+    )
 
 
 def chi(a: ParSymElement) -> NSymElement:
     """The projection sending a word to the composition of bullet-statistic
     values of its tensor-irreducible factors."""
-    out = NSymElement.zero()
-    for d, coeff in a.terms.items():
-        if d.is_empty():
-            alpha: Composition = ()
-        else:
-            alpha = tuple(m_statistic(pi) for pi in tensor_factorize(d))
-        out = out + coeff * nsym_h(alpha)
-    return out
+    return a.extend(
+        lambda d: nsym_h(tuple(m_statistic(pi) for pi in _factors(d))), NSymElement
+    )
 
 
 @functools.lru_cache(maxsize=None)
@@ -224,14 +204,13 @@ def _qsym_word(alpha: Composition) -> QSymImage:
     n = sum(alpha)
     if n == 0:
         return QSymImage({(): 1})
-    out: dict[Composition, int] = {}
-    element = {alpha: 1}
-    for legs in range(1, n + 1):
-        for tup, coeff in hopfcheck.iterated_coproduct(NSYM_OPS, element, legs).items():
-            weights = tuple(sum(part) for part in tup)
-            if all(w > 0 for w in weights):
-                out[weights] = out.get(weights, 0) + coeff
-    return QSymImage(out)
+    iterated = hopfcheck.iterated_coproducts(NSYM, nsym_h(alpha))
+    terms = (
+        (tuple(sum(part) for part in tup), coeff)
+        for legs in itertools.islice(iterated, n)
+        for tup, coeff in legs.terms.items()
+    )
+    return QSymImage((weights, c) for weights, c in terms if all(weights))
 
 
 def qsym_image(
@@ -241,59 +220,27 @@ def qsym_image(
     monomial-basis coefficients.  Diagram elements are first projected by
     ``chi``; the input must be homogeneous and within the degree cap."""
     if isinstance(a, ParSymElement):
-        degree = a.homogeneous_degree()
-        if degree > max_degree:
-            raise CapExceeded(f"qsym image capped at degree {max_degree}")
-        b = chi(a)
+        degree, b = a.homogeneous_degree(), chi(a)
     elif isinstance(a, NSymElement):
-        degree = a.homogeneous_weight()
-        if degree > max_degree:
-            raise CapExceeded(f"qsym image capped at degree {max_degree}")
-        b = a
+        degree, b = a.homogeneous_weight(), a
     else:
         raise TypeError("expected a ParSym or NSym element")
-    out = QSymImage.zero()
-    for alpha, coeff in b.terms.items():
-        out = out + coeff * _qsym_word(alpha)
-    return out
+    if degree > max_degree:
+        raise CapExceeded(f"qsym image capped at degree {max_degree}")
+    return b.extend(_qsym_word, QSymImage)
 
 
-# ---------------------------------------------------------------------------
-# Hopf-structure adapter
-
-
-class _NSymOps:
-    name = "nsym"
-
-    unit_key: Composition = ()
-
-    @staticmethod
-    def degree(key: Composition) -> int:
-        return sum(key)
-
-    @staticmethod
-    def mul_key(a: Composition, b: Composition) -> Composition:
-        return a + b
-
-    @staticmethod
-    def coproduct_key(key: Composition) -> dict:
-        return _coproduct_word(key).terms
-
-    @staticmethod
-    def antipode_key(key: Composition) -> dict:
-        return _antipode_word(key).terms
-
-    @staticmethod
-    def basis(degree: int):
-        return compositions(degree)
-
-    @staticmethod
-    def render_key(key: Composition) -> str:
-        return "H" + render_composition(key)
-
-
-NSYM_OPS = _NSymOps()
+NSYM = FreeHopf(
+    name="nsym",
+    element=NSymElement,
+    tensor=NSymTensor,
+    degree=sum,
+    coproduct_word=_coproduct_word,
+    antipode_word=_antipode_word,
+    basis=compositions,
+    render=lambda alpha: "H" + render_composition(alpha),
+)
 
 
 def verify_nsym_hopf_axioms(max_degree: int, seed: int = 20241) -> "hopfcheck.AxiomReport":
-    return hopfcheck.verify_axioms(NSYM_OPS, max_degree, seed=seed)
+    return hopfcheck.verify_axioms(NSYM, max_degree, seed=seed)

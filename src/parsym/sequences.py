@@ -14,7 +14,6 @@ b_n = a_n - sum_{j<n} b_j a_{n-j} is the production path) and cross-checked.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -116,27 +115,17 @@ def inverse_boolean_transform(terms: Sequence[int]) -> list[int]:
     return out
 
 
-@functools.cache
 def irreducible_count(k: int) -> int:
-    """Number a_k of tensor-irreducible diagrams of order k, by the
-    recursion a_k = B_{2k} - sum over proper compositions of products."""
+    """Number a_k of tensor-irreducible diagrams of order k."""
     if k < 1:
         raise ValueError("k must be positive")
-    if k == 1:
-        return 2
-    value = bell(2 * k)
-    for alpha in compositions(k):
-        if alpha == (k,):
-            continue
-        prod = 1
-        for part in alpha:
-            prod *= irreducible_count(part)
-        value -= prod
-    return value
+    return irreducible_count_sequence(k)[-1]
 
 
 def irreducible_count_sequence(n: int) -> list[int]:
-    return [irreducible_count(k) for k in range(1, n + 1)]
+    """a_1, ..., a_n: the Boolean transform of the even Bell numbers, since
+    the algebra is free on the tensor-irreducible diagrams."""
+    return boolean_transform(even_bell_sequence(n))
 
 
 class TruncatedSeries:

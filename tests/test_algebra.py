@@ -3,9 +3,10 @@ import random
 import pytest
 
 from parsym.algebra import (
+    PARSYM,
     DiagramTensor,
-    PARSYM_OPS,
     ParSymElement,
+    _det_bareiss,
     antipode,
     character_zeta,
     coproduct,
@@ -217,6 +218,11 @@ class TestEBasis:
             assert len(report.basis) == len(all_diagrams(n))
             assert report.determinant in (1, -1)
 
+    def test_matrix_determinant_matches_bareiss(self):
+        for n in (1, 2, 3):
+            report = e_h_matrix(n)
+            assert report.determinant == _det_bareiss([list(r) for r in report.matrix])
+
     def test_matrix_cap(self):
         with pytest.raises(CapExceeded):
             e_h_matrix(5)
@@ -245,29 +251,16 @@ class TestCharacter:
             assert character_zeta(a * b) == character_zeta(a) * character_zeta(b)
 
 
-class _CorruptedOps:
-    """Drops the interior coproduct term of one fixed generator."""
+def _corrupted(victim):
+    """PARSYM with the interior coproduct terms of one generator dropped."""
 
-    name = "parsym-corrupted"
-    unit_key = PARSYM_OPS.unit_key
-    degree = staticmethod(PARSYM_OPS.degree)
-    mul_key = staticmethod(PARSYM_OPS.mul_key)
-    antipode_key = staticmethod(PARSYM_OPS.antipode_key)
-    basis = staticmethod(PARSYM_OPS.basis)
-    render_key = staticmethod(PARSYM_OPS.render_key)
+    def coproduct_word(key):
+        terms = PARSYM.coproduct_word(key).terms
+        if key == victim:
+            terms = {pair: c for pair, c in terms.items() if EMPTY_DIAGRAM in pair}
+        return DiagramTensor(terms)
 
-    def __init__(self, victim):
-        self.victim = victim
-
-    def coproduct_key(self, key):
-        pairs = dict(PARSYM_OPS.coproduct_key(key))
-        if key == self.victim:
-            pairs = {
-                pair: coeff
-                for pair, coeff in pairs.items()
-                if EMPTY_DIAGRAM in pair
-            }
-        return pairs
+    return PARSYM._replace(name="parsym-corrupted", coproduct_word=coproduct_word)
 
 
 class TestAxiomHarness:
@@ -280,9 +273,13 @@ class TestAxiomHarness:
     def test_degree_zero_trivial(self):
         assert verify_hopf_axioms(0).all_passed
 
+    def test_refuses_above_takeuchi_cap(self):
+        with pytest.raises(CapExceeded):
+            verify_hopf_axioms(5)
+
     def test_corrupted_coproduct_breaks_antipode_axiom(self):
         victim = parse("1,1',2'/2")
-        report = hopfcheck.verify_axioms(_CorruptedOps(victim), 2, seed=5)
+        report = hopfcheck.verify_axioms(_corrupted(victim), 2, seed=5)
         failed = {r.name for r in report.results if not r.passed}
         assert "antipode-left" in failed or "antipode-right" in failed
         assert not report.all_passed

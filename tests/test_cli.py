@@ -2,7 +2,10 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from parsym.cli import main
+from parsym.sequences import boolean_transform_by_series, even_bell_sequence
 
 
 def run_cli(capsys, *argv):
@@ -95,6 +98,22 @@ class TestOps:
         assert code == 2
         assert "malformed token" in err
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"order":1,"blocks":[["1",-1]]}',
+            '{"order":1}',
+            '{"order":"1","blocks":[[1,-1]]}',
+            '{"order":1,"blocks":5}',
+            '{"order":1,"blocks":[[true,-1]]}',
+            '{"order":1.0,"blocks":[[1,-1]]}',
+        ],
+    )
+    def test_malformed_json_diagram_is_usage_error(self, capsys, text):
+        code, out, err = run_cli(capsys, "op", "render", text)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestEnumerateCount:
     def test_enumerate_order_one(self, capsys):
@@ -144,6 +163,12 @@ class TestSeq:
             "171131871",
         ]
 
+    def test_a_sequence_beyond_composition_cap(self, capsys):
+        code, out, _ = run_cli(capsys, "seq", "a", "--terms", "30")
+        assert code == 0
+        expected = boolean_transform_by_series(even_bell_sequence(30))
+        assert [int(line) for line in out.splitlines()] == expected
+
     def test_bell_and_even(self, capsys):
         _, out, _ = run_cli(capsys, "seq", "bell", "--terms", "5")
         assert out.splitlines() == ["1", "2", "5", "15", "52"]
@@ -185,6 +210,11 @@ class TestVerify:
         assert lines[0] == "coassociativity: PASS"
         assert "takeuchi: PASS" in lines
         assert all(line.endswith("PASS") for line in lines)
+
+    def test_hopf_refuses_above_cap(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "hopf", "--max-degree", "5")
+        assert (code, out) == (2, "")
+        assert "capped at degree 4" in err
 
     def test_gf_pass(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "gf")
