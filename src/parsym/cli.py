@@ -17,7 +17,6 @@ from .diagrams import (
     PartitionDiagram,
     bullet,
     bullet_decompose,
-    enumerate_diagrams,
     from_json_obj,
     is_bullet_irreducible,
     is_tensor_irreducible,
@@ -31,7 +30,7 @@ from .diagrams import (
     to_json_obj,
     vertical_compose,
 )
-from .families import Family, family_member
+from .families import Family, enumerate_family
 
 OP_VERBS = (
     "parse",
@@ -52,24 +51,9 @@ OP_VERBS = (
     "qsym-image",
 )
 
-FORMULA_FAMILIES = (
-    Family.PERMUTATION,
-    Family.PLANAR,
-    Family.MATCHING,
-    Family.PERFECT_MATCHING,
-    Family.PARTIAL_PERMUTATION,
-)
-
-CLOSURE_FAMILIES = (
-    Family.PERMUTATION,
-    Family.PLANAR,
-    Family.MATCHING,
-    Family.PERFECT_MATCHING,
-    Family.PARTIAL_PERMUTATION,
-    Family.PLANAR_PERFECT_MATCHING,
-    Family.PLANAR_MATCHING,
-    Family.PLANAR_PARTIAL_PERMUTATION,
-)
+CLOSURE_FAMILIES = tuple(f for f in Family if f is not Family.ALL)
+# the planar composites have no closed dimension formula
+FORMULA_FAMILIES = tuple(f for f in CLOSURE_FAMILIES if "planar-" not in f.value)
 
 
 class UsageError(ValueError):
@@ -159,6 +143,11 @@ def _qsym_out(el: nsym.QSymImage, as_json: bool) -> None:
         _emit([f"{c} M{nsym.render_composition(a)}" for a, c in items])
 
 
+def _require_positive(value: int, flag: str) -> None:
+    if value < 1:
+        raise UsageError(f"{flag} must be at least 1, got {value}")
+
+
 def _require(args: list[str], count: int, verb: str) -> None:
     if len(args) != count:
         raise UsageError(f"op {verb} expects {count} argument(s), got {len(args)}")
@@ -228,9 +217,7 @@ def _run_op(ns) -> int:
 
 def _selected_diagrams(ns):
     family = Family.from_name(ns.family) if ns.family else Family.ALL
-    for d in enumerate_diagrams(ns.order, max_order=ns.max_order):
-        if not family_member(d, family):
-            continue
+    for d in enumerate_family(ns.order, family, max_order=ns.max_order):
         if ns.irreducible and not is_tensor_irreducible(d):
             continue
         if ns.bullet_irreducible and not is_bullet_irreducible(d):
@@ -284,6 +271,7 @@ def _resolve_sequence(name: str, family_name: str | None, terms: int) -> list[in
 
 
 def _run_seq(ns) -> int:
+    _require_positive(ns.terms, "--terms")
     values = _resolve_sequence(ns.name, ns.family, ns.terms)
     if ns.json:
         print(json.dumps([str(v) for v in values]))
@@ -297,6 +285,10 @@ def _run_verify(ns) -> int:
         ns.max_degree = 3 if ns.what == "closure" else 2
     if ns.terms is None:
         ns.terms = 7 if ns.what == "gf" else 4
+    if ns.what in ("gf", "counts"):
+        _require_positive(ns.terms, "--terms")
+    else:
+        _require_positive(ns.max_degree, "--max-degree")
     if ns.what == "hopf":
         report = algebra.verify_hopf_axioms(ns.max_degree)
         if ns.json:

@@ -13,15 +13,14 @@ members whose bullet statistic is 1).
 
 ``family_generator_counts`` counts tensor-irreducible members per order,
 the quantity that must match the Boolean transform of the family's
-dimension sequence; dedicated member generators keep the point families
-cheap past the full-enumeration sizes.
+dimension sequence.  These and ``m_distribution`` walk the members with
+``families.enumerate_family``, which skips non-members without building
+them, so small families stay cheap where full enumeration is large.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterator
 
 from .algebra import _antipode_word, _coproduct_word
 from .diagrams import (
@@ -36,15 +35,9 @@ from .families import Family, enumerate_family, family_member
 CLOSURE_CAP = 4
 CLOSURE_CAP_LARGE_FAMILIES = 3
 GENERATOR_COUNT_CAP = 6
-GENERATOR_COUNT_CAP_ENUMERATED = 4
 M_DISTRIBUTION_CAP = 4
 
 _LARGE = (Family.ALL, Family.PLANAR)
-_COMPOSITE = (
-    Family.PLANAR_PERFECT_MATCHING,
-    Family.PLANAR_MATCHING,
-    Family.PLANAR_PARTIAL_PERMUTATION,
-)
 
 
 def is_primitive_basis_diagram(d: PartitionDiagram) -> bool:
@@ -110,96 +103,27 @@ def closure_report(family: Family, max_degree: int) -> ClosureReport:
     return ClosureReport(family, max_degree, checks, counterexample)
 
 
-# ---------------------------------------------------------------------------
-# dedicated member generators (used to push the point families past the
-# full-enumeration cap)
-
-
-def _permutation_diagrams(k: int) -> Iterator[PartitionDiagram]:
-    for perm in itertools.permutations(range(1, k + 1)):
-        yield PartitionDiagram(k, [(i, -perm[i - 1]) for i in range(1, k + 1)])
-
-
-def _matchings(nodes: list[int], perfect: bool) -> Iterator[list[tuple[int, ...]]]:
-    if not nodes:
-        yield []
-        return
-    first, rest = nodes[0], nodes[1:]
-    if not perfect:
-        for tail in _matchings(rest, perfect):
-            yield [(first,)] + tail
-    for i, other in enumerate(rest):
-        pair = (first, other)
-        remaining = rest[:i] + rest[i + 1 :]
-        for tail in _matchings(remaining, perfect):
-            yield [pair] + tail
-
-
-def _matching_diagrams(k: int, perfect: bool) -> Iterator[PartitionDiagram]:
-    nodes = list(range(1, k + 1)) + [-i for i in range(1, k + 1)]
-    for blocks in _matchings(nodes, perfect):
-        yield PartitionDiagram(k, blocks)
-
-
-def _partial_permutation_diagrams(k: int) -> Iterator[PartitionDiagram]:
-    tops = list(range(1, k + 1))
-
-    def rec(i: int, free_bottoms: tuple[int, ...], blocks: list[tuple[int, ...]]):
-        if i > k:
-            yield blocks + [(-b,) for b in free_bottoms]
-            return
-        yield from rec(i + 1, free_bottoms, blocks + [(i,)])
-        for j, b in enumerate(free_bottoms):
-            yield from rec(
-                i + 1,
-                free_bottoms[:j] + free_bottoms[j + 1 :],
-                blocks + [(i, -b)],
-            )
-
-    for blocks in rec(1, tuple(range(1, k + 1)), []):
-        yield PartitionDiagram(k, blocks)
-
-
-_DIRECT_GENERATORS = {
-    Family.PERMUTATION: _permutation_diagrams,
-    Family.PERFECT_MATCHING: lambda k: _matching_diagrams(k, perfect=True),
-    Family.MATCHING: lambda k: _matching_diagrams(k, perfect=False),
-    Family.PARTIAL_PERMUTATION: _partial_permutation_diagrams,
-}
-
-
-def family_members(k: int, family: Family) -> Iterator[PartitionDiagram]:
-    """Members of order k; direct generation where available, otherwise the
-    enumeration filter (so order stays within the enumeration cap)."""
-    gen = _DIRECT_GENERATORS.get(family)
-    if gen is not None:
-        return gen(k)
-    return enumerate_family(k, family)
-
-
 def family_generator_counts(family: Family, max_k: int) -> list[int]:
     """Number of tensor-irreducible members per order, k = 1..max_k."""
-    cap = (
-        GENERATOR_COUNT_CAP_ENUMERATED
-        if family in _COMPOSITE
-        else GENERATOR_COUNT_CAP
-    )
-    if max_k > cap:
+    if max_k > GENERATOR_COUNT_CAP:
         raise CapExceeded(
-            f"generator counts for {family.value} capped at order {cap}"
+            f"generator counts for {family.value} capped at order "
+            f"{GENERATOR_COUNT_CAP}"
         )
     return [
-        sum(1 for d in family_members(k, family) if is_tensor_irreducible(d))
+        sum(
+            1
+            for d in enumerate_family(k, family, max_order=GENERATOR_COUNT_CAP)
+            if is_tensor_irreducible(d)
+        )
         for k in range(1, max_k + 1)
     ]
 
 
 def m_distribution(k: int, family: Family, max_order: int = M_DISTRIBUTION_CAP) -> dict[int, int]:
     """Histogram of the bullet statistic over family members of order k."""
-    if k > max_order:
-        raise CapExceeded(f"m-distribution capped at order {max_order}")
     histogram: dict[int, int] = {}
-    for d in family_members(k, family):
+    for d in enumerate_family(k, family, max_order=max_order):
         value = m_statistic(d)
         histogram[value] = histogram.get(value, 0) + 1
     return dict(sorted(histogram.items()))

@@ -32,7 +32,7 @@ from __future__ import annotations
 import functools
 import os
 import re
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 DEFAULT_MAX_ORDER = 6
 
@@ -94,6 +94,15 @@ class PartitionDiagram:
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "blocks", canonical)
         object.__setattr__(self, "_hash", hash((order, canonical)))
+
+    @classmethod
+    def _canonical(cls, order: int, blocks: tuple[tuple[int, ...], ...]):
+        """Wrap blocks already in canonical form, skipping the checks."""
+        d = object.__new__(cls)
+        object.__setattr__(d, "order", order)
+        object.__setattr__(d, "blocks", blocks)
+        object.__setattr__(d, "_hash", hash((order, blocks)))
+        return d
 
     def __setattr__(self, name, value):
         raise AttributeError("PartitionDiagram is immutable")
@@ -184,12 +193,29 @@ def from_json_obj(obj: dict) -> PartitionDiagram:
 # enumeration
 
 
+def _always(*_args) -> bool:
+    return True
+
+
+class GrowthRule(NamedTuple):
+    """Pruning for ``enumerate_diagrams``, which places nodes in node order:
+    may node v join block b, may v open a new block, is a finished
+    partition accepted.  A refused branch is skipped whole, so the accepted
+    diagrams come out in the unpruned order."""
+
+    joins: Callable[[list[list[int]], list[int], int], bool]
+    opens: Callable[[list[list[int]], int], bool] = _always
+    complete: Callable[[list[list[int]]], bool] = _always
+
+
 def enumerate_diagrams(
-    k: int, max_order: int | None = None
+    k: int, max_order: int | None = None, rule: GrowthRule | None = None
 ) -> Iterator[PartitionDiagram]:
     """Yield every diagram of order k once, in restricted-growth-string
-    lexicographic order over the node order.  The count is the Bell number
-    of 2k.  Refuses k beyond the cap (default 6, env PARSYM_MAX_ORDER)."""
+    lexicographic order over the node order (Knuth, TAOCP 4A 7.2.1.5); the
+    count is the Bell number of 2k.  With a ``rule``, yield only the
+    diagrams it admits, in the same order.  Refuses k beyond the cap
+    (default 6, env PARSYM_MAX_ORDER)."""
     cap = global_max_order() if max_order is None else max_order
     if k < 0:
         raise ValueError("order must be nonnegative")
@@ -200,16 +226,20 @@ def enumerate_diagrams(
 
     def rec(i: int) -> Iterator[PartitionDiagram]:
         if i == len(nodes):
-            yield PartitionDiagram(k, [tuple(b) for b in blocks])
+            # nodes were placed in node order, so the blocks are canonical
+            if rule is None or rule.complete(blocks):
+                yield PartitionDiagram._canonical(k, tuple([tuple(b) for b in blocks]))
             return
         v = nodes[i]
         for b in blocks:
-            b.append(v)
+            if rule is None or rule.joins(blocks, b, v):
+                b.append(v)
+                yield from rec(i + 1)
+                b.pop()
+        if rule is None or rule.opens(blocks, v):
+            blocks.append([v])
             yield from rec(i + 1)
-            b.pop()
-        blocks.append([v])
-        yield from rec(i + 1)
-        blocks.pop()
+            blocks.pop()
 
     return rec(0)
 

@@ -11,6 +11,11 @@ Membership predicates:
   planar rook).
 
 The empty diagram belongs to every family.
+
+``enumerate_family`` prunes the recursion of ``enumerate_diagrams`` with a
+per-family ``GrowthRule``, so it visits only branches that can still give
+a member; the closure checks test coproduct legs and antipode words with
+the predicates.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from __future__ import annotations
 import enum
 from typing import Iterator
 
-from .diagrams import PartitionDiagram, enumerate_diagrams
+from .diagrams import GrowthRule, PartitionDiagram, enumerate_diagrams
 
 
 class Family(enum.Enum):
@@ -104,10 +109,53 @@ def family_member(d: PartitionDiagram, family: Family) -> bool:
     return _PREDICATES[family](d)
 
 
+# ---------------------------------------------------------------------------
+# growth rules: nodes arrive in the order 1, ..., k, 1', ..., k'
+
+
+def _no_crossing(blocks, b, v) -> bool:
+    # The boundary 1, ..., k, k', ..., 1' read from k' round to k is the
+    # integer order of the node values.  The placed nodes form an interval
+    # of it with v just past one end, so v may join b iff no block has nodes
+    # on both sides of b; in a noncrossing partition a block straddling one
+    # node of b straddles all of them, so testing min(b) suffices.
+    x = min(b)
+    return not any(min(c) < x < max(c) for c in blocks)
+
+
+def _planar(rule: GrowthRule) -> GrowthRule:
+    """``rule`` and the planar rule, which refuses only joins."""
+    return rule._replace(
+        joins=lambda blocks, b, v: rule.joins(blocks, b, v)
+        and _no_crossing(blocks, b, v)
+    )
+
+
+_MATCHING = GrowthRule(lambda blocks, b, v: len(b) == 1)
+_PERFECT_MATCHING = _MATCHING._replace(
+    complete=lambda blocks: all(len(b) == 2 for b in blocks)
+)
+# a bottom node may only pair with a lone top node
+_PARTIAL_PERMUTATION = GrowthRule(
+    lambda blocks, b, v: v < 0 and len(b) == 1 and b[0] > 0
+)
+
+_RULES = {
+    # only top nodes open blocks, so every bottom node closes one and a
+    # finished partition is k propagating pairs
+    Family.PERMUTATION: _PARTIAL_PERMUTATION._replace(opens=lambda blocks, v: v > 0),
+    Family.PLANAR: GrowthRule(_no_crossing),
+    Family.MATCHING: _MATCHING,
+    Family.PERFECT_MATCHING: _PERFECT_MATCHING,
+    Family.PARTIAL_PERMUTATION: _PARTIAL_PERMUTATION,
+    Family.PLANAR_PERFECT_MATCHING: _planar(_PERFECT_MATCHING),
+    Family.PLANAR_MATCHING: _planar(_MATCHING),
+    Family.PLANAR_PARTIAL_PERMUTATION: _planar(_PARTIAL_PERMUTATION),
+}
+
+
 def enumerate_family(
     k: int, family: Family, max_order: int | None = None
 ) -> Iterator[PartitionDiagram]:
     """Family members of order k, in the global enumeration order."""
-    for d in enumerate_diagrams(k, max_order=max_order):
-        if family_member(d, family):
-            yield d
+    return enumerate_diagrams(k, max_order=max_order, rule=_RULES.get(family))

@@ -256,6 +256,31 @@ class TestHist:
         assert code == 2
 
 
+class TestSizes:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "seq a --terms -1",
+            "seq bell --terms 0",
+            "verify gf --terms 0",
+            "verify counts --terms 0",
+            "verify counts --terms -2",
+            "verify closure --max-degree 0",
+            "verify closure --max-degree -1",
+            "verify hopf --max-degree 0",
+            "verify hopf --max-degree -1",
+        ],
+    )
+    def test_nonpositive_size_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv.split())
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_order_zero_is_the_empty_diagram(self, capsys):
+        assert run_cli(capsys, "enumerate", "--order", "0") == (0, "()\n", "")
+        assert run_cli(capsys, "hist", "m", "--order", "0") == (0, "m=0 1\n", "")
+
+
 class TestDeterminism:
     def test_repeat_invocations_byte_identical(self, capsys):
         for argv in (
@@ -276,3 +301,11 @@ class TestDeterminism:
         )
         assert result.returncode == 0
         assert result.stdout == "2\n11\n151\n"
+
+    def test_module_entry_point_subprocess(self):
+        result = subprocess.run(
+            [sys.executable, "-m", "parsym", "count", "--order", "1"],
+            capture_output=True,
+            text=True,
+        )
+        assert (result.returncode, result.stdout) == (0, "2\n")

@@ -1,14 +1,15 @@
+from math import comb
+
 import pytest
 
 from parsym.closures import (
     closure_report,
     family_generator_counts,
-    family_members,
     is_primitive_basis_diagram,
     m_distribution,
 )
 from parsym.diagrams import CapExceeded, enumerate_diagrams, is_tensor_irreducible
-from parsym.families import Family, enumerate_family
+from parsym.families import Family, enumerate_family, family_member
 from parsym.sequences import (
     boolean_transform,
     family_dimension,
@@ -76,27 +77,46 @@ class TestGeneratorCounts:
         dims = family_dimension_sequence(family, 4)
         assert counts == boolean_transform(dims)
 
-    def test_direct_generators_match_filter(self):
-        for family in (
-            Family.PERMUTATION,
-            Family.MATCHING,
-            Family.PERFECT_MATCHING,
-            Family.PARTIAL_PERMUTATION,
-        ):
-            for k in (1, 2, 3):
-                direct = sorted(family_members(k, family), key=lambda d: d.blocks)
-                filtered = sorted(
-                    enumerate_family(k, family), key=lambda d: d.blocks
-                )
-                assert direct == filtered
+    @pytest.mark.parametrize("family", list(Family))
+    def test_members_in_enumeration_order(self, family):
+        for k in range(5):
+            assert list(enumerate_family(k, family)) == [
+                d for d in enumerate_diagrams(k) if family_member(d, family)
+            ]
 
     def test_point_families_past_enumeration_sizes(self):
         assert family_generator_counts(Family.PERMUTATION, 5)[-1] == 71
         assert family_generator_counts(Family.PERFECT_MATCHING, 5)[-1] == 706
 
+    def test_planar_order_five(self):
+        assert family_generator_counts(Family.PLANAR, 5) == boolean_transform(
+            [family_dimension(Family.PLANAR, k) for k in range(1, 6)]
+        )
+
+    @pytest.mark.parametrize(
+        "family, dimension",
+        [
+            # Temperley-Lieb: Catalan numbers
+            (Family.PLANAR_PERFECT_MATCHING, lambda k: comb(2 * k, k) // (k + 1)),
+            # Motzkin: the even Motzkin numbers M_2k = 2, 9, 51, 323, 2188, 15511
+            (
+                Family.PLANAR_MATCHING,
+                lambda k: sum(
+                    comb(2 * k, 2 * j) * comb(2 * j, j) // (j + 1)
+                    for j in range(k + 1)
+                ),
+            ),
+            # planar rook: central binomial coefficients
+            (Family.PLANAR_PARTIAL_PERMUTATION, lambda k: comb(2 * k, k)),
+        ],
+    )
+    def test_planar_composites_to_order_six(self, family, dimension):
+        dims = [dimension(k) for k in range(1, 7)]
+        assert family_generator_counts(family, 6) == boolean_transform(dims)
+
     def test_cap_refusal(self):
         with pytest.raises(CapExceeded):
-            family_generator_counts(Family.PLANAR_MATCHING, 5)
+            family_generator_counts(Family.PLANAR_MATCHING, 7)
         with pytest.raises(CapExceeded):
             family_generator_counts(Family.PERMUTATION, 7)
 

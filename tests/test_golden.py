@@ -1,7 +1,9 @@
 """Byte-identical CLI output: sha256 digests of stdout for the element
 operations on three fixed diagrams (one of them a reducible word), the
-embedding phi and the verification reports.  Each key is the argv,
-space-joined; a refactor of the algebra must leave every digest unchanged."""
+embedding phi, the verification reports, and the members of every family
+(listed in enumeration order, counted and binned by the bullet statistic).
+Each key is the argv, space-joined; a refactor must leave every digest
+unchanged."""
 
 import contextlib
 import hashlib
@@ -47,6 +49,43 @@ GOLDEN = {
     "verify hopf --max-degree 3 --json": "045f0a2687f1194e116f1495e7cd05bba0be6e603a97e5c87293f40620ba3597",
     "verify closure --max-degree 3": "0465a7127001f96cac78fec64e32ce0e7a28f59e750ef1691526914a2f26f418",
     "verify closure --max-degree 3 --json": "504077c70e150ac100b651213362650ac99a445e2983ca7192bf2fb253ef7765",
+    # family members, in enumeration order, for every family
+    "enumerate --order 3 --family all": "c7fbb64974af9587e954a9df18044ac2a5a4c12d687329c5c875fb5fe2c8c08c",
+    "enumerate --order 3 --family all --json": "c0042819043254460a0c3730c4731f53b368802b39e42b7d1490085fa494e49c",
+    "count --order 4 --family all --irreducible": "617503461b7a1c700b1d34275611f95a36510189d68ca19b1bcf194f714d980a",
+    "hist m --order 3 --family all": "4f5c24969ef8d8105b05c52defc3b87db3fac8247877e68ce59e79ce6618b6ac",
+    "enumerate --order 3 --family permutation": "16ebaefe7d03b8e08fed2df64e82db17e729331d0e1479f94197fa68e75862d7",
+    "enumerate --order 3 --family permutation --json": "aad75b27dddcf4729512e767080a24db0fd14a7ffb9df34200a4542b52a4f848",
+    "count --order 4 --family permutation --irreducible": "1a252402972f6057fa53cc172b52b9ffca698e18311facd0f3b06ecaaef79e17",
+    "hist m --order 3 --family permutation": "82d6bb86d88282385246e3c0b76d68d435d5007fc78810e3392dbc9c6047f0f3",
+    "enumerate --order 3 --family planar": "f2a99b931ecbf98561b4c8030887554ad663e30b2948bdd38247221d021c1bc5",
+    "enumerate --order 3 --family planar --json": "96f2c9b86c99cfaceb91102616da7a6f68a13b348fc7abaffd0f36c774cec0e3",
+    "count --order 4 --family planar --irreducible": "30331378d68b833b097861af6912bea752514f396a7b2c250474a0509d545b33",
+    "hist m --order 3 --family planar": "d92eedbb7f4d9fb9e37a1822326e92baeb5cd64850ffbc75c8fb9c64e92367b5",
+    "enumerate --order 3 --family matching": "85a7ee70bcd87b50b5c28df8ad8c78ffc0e66c7ce59950dab88c57f075b21c84",
+    "enumerate --order 3 --family matching --json": "d8bea8243e8d430d55fff3f8a888585f8340f40d08192423b6d6258695e3b2f6",
+    "count --order 4 --family matching --irreducible": "37aeed46a172d08e210fed9c4ad8922aeaa0d7a52faaee0fada64760d1741dd0",
+    "hist m --order 3 --family matching": "67b90ee15453c1feeafe90711b640beab1d6d47616e8c9763ba06554709bca16",
+    "enumerate --order 3 --family perfect-matching": "972e78cf4dd8bcc6174d007bf14cfdb7a2cfd4f69125fef9117a263c24dd9571",
+    "enumerate --order 3 --family perfect-matching --json": "551938da92e63eef5d8002bde4c46721b16989f3d60c7e1420c097602822bec0",
+    "count --order 4 --family perfect-matching --irreducible": "93a73825c1b761d11bf2b3f4dff760d07888d3fde05dcf55f1da84aa6041a5a8",
+    "hist m --order 3 --family perfect-matching": "06dbca2cf6481e7ea06ad719c4b559a4888ebc2a4c4cf7d81759c1308fd6dd2d",
+    "enumerate --order 3 --family partial-permutation": "1aec7f9a5ad9097fe191fb5f6c6b9d69e506172215877055df32064105b547ef",
+    "enumerate --order 3 --family partial-permutation --json": "04576e893647de251cdf45bc74e1e24908646bdbda73cb67da8e2770bae34516",
+    "count --order 4 --family partial-permutation --irreducible": "13c1dc569ae4a0d7f90d8f83d22fc9c8fa526e133f8fea0f9526c8533c4d8da3",
+    "hist m --order 3 --family partial-permutation": "74125193138d989a2d78dd52ac4fc8feaff5ea3c143575e03c84a669d20b113c",
+    "enumerate --order 3 --family planar-perfect-matching": "c2e5acd3a19fbab76fdd88947161d8188db092c130ae4d36722c7b3fc8d19a00",
+    "enumerate --order 3 --family planar-perfect-matching --json": "5dbc05cd74896750deec27455fc28030a8196069d79d1bf4b65e9322a1207b00",
+    "count --order 4 --family planar-perfect-matching --irreducible": "f0b5c2c2211c8d67ed15e75e656c7862d086e9245420892a7de62cd9ec582a06",
+    "hist m --order 3 --family planar-perfect-matching": "b1a354745f29431a73c71edb879d862ed4981a6e7e051c892e1e6069b980fa3b",
+    "enumerate --order 3 --family planar-matching": "d934e5d4d94101ca76f18e670528e347d355b03ee098b4ee97ed761750ee8881",
+    "enumerate --order 3 --family planar-matching --json": "db479c9b304e83a3b8c9b989e5cdbbfd40438ce1bbaa101c27c0857796ece6c1",
+    "count --order 4 --family planar-matching --irreducible": "f5bde7eb9f6c71611dc5726e8aca3eb4eba3e386da49e0a4ed5c295a90a73a0d",
+    "hist m --order 3 --family planar-matching": "fc549a1e60e1a52be22b6c6a2f08144ee06e1cc57e99d47b1d67421269990e52",
+    "enumerate --order 3 --family planar-partial-permutation": "0b364b9b3d2f2cbec5e95aa43e2ef57aec3ec386b58075b7b7d15f43f2666569",
+    "enumerate --order 3 --family planar-partial-permutation --json": "0243b96f4d39892bf6d70f75dbd20e99597fb43a471c5eed1f1e7db9977f293d",
+    "count --order 4 --family planar-partial-permutation --irreducible": "917df3320d778ddbaa5c5c7742bc4046bf803c36ed2b050f30844ed206783469",
+    "hist m --order 3 --family planar-partial-permutation": "76fc53e523c8d7287dfb6df8faf7c883e2c0bfc42da4ba060458d67c6215f3c8",
 }
 
 
