@@ -69,7 +69,11 @@ def _read_text_argument(arg: str) -> str:
 def _read_diagram(arg: str) -> PartitionDiagram:
     text = _read_text_argument(arg).strip()
     if text.startswith("{"):
-        return from_json_obj(json.loads(text))
+        try:
+            obj = json.loads(text)
+        except RecursionError:
+            raise ValueError("JSON diagram nested too deeply") from None
+        return from_json_obj(obj)
     return parse(text)
 
 

@@ -5,9 +5,13 @@ A partition diagram of order k is a set partition of the 2k symbols
 is stored as the integer +i and a bottom node i' as -i.  Nodes are totally
 ordered top row first: 1 < 2 < ... < k < 1' < 2' < ... < k'.
 
-Canonical form: inside a block, nodes are sorted by that order; blocks are
-sorted by their minimal node.  Two diagrams are equal iff their canonical
-forms coincide, and all constructors canonicalise.
+Canonical form: a diagram stores ``order`` and ``labels``, the restricted
+growth string of the partition over the slots 1..k, 1'..k': slot j holds
+the index of its block, blocks numbered by their first slot.  Diagrams are
+equal iff their labels are.  ``blocks`` is a view (nodes grouped by label
+in slot order: each block in node order, blocks by their minimal node), as
+are the text and JSON forms.  Every operation builds a label string and
+relabels it once with ``_rgs``, the only canonicaliser.
 
 The two product-like operations are
 
@@ -32,6 +36,7 @@ from __future__ import annotations
 import functools
 import os
 import re
+from itertools import accumulate
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 DEFAULT_MAX_ORDER = 6
@@ -51,68 +56,74 @@ def global_max_order() -> int:
     return int(value)
 
 
-def _node_key(v: int) -> tuple[bool, int]:
-    return (v < 0, abs(v))
-
-
 def node_name(v: int) -> str:
     return str(v) if v > 0 else f"{-v}'"
+
+
+def _rgs(labels: Iterable) -> tuple[int, ...]:
+    """Relabel blocks by first occurrence: the canonical label string."""
+    first: dict = {}
+    return tuple([first.setdefault(x, len(first)) for x in labels])
+
+
+def _group(items: tuple, labels: tuple[int, ...]) -> list[list]:
+    """The items of each block, blocks in label order, items in slot order."""
+    groups: list[list] = []
+    for item, x in zip(items, labels):
+        if x == len(groups):
+            groups.append([item])
+        else:
+            groups[x].append(item)
+    return groups
+
+
+_SLOTS: dict[int, tuple[tuple[int, ...], tuple[str, ...]]] = {}
+
+
+def _slots(k: int) -> tuple[tuple[int, ...], tuple[str, ...]]:
+    """Node (1..k, then -1..-k) and node name of each slot, once per order."""
+    slots = _SLOTS.get(k)
+    if slots is None:
+        nodes = (*range(1, k + 1), *range(-1, -k - 1, -1))
+        slots = _SLOTS[k] = (nodes, tuple(map(node_name, nodes)))
+    return slots
 
 
 class PartitionDiagram:
     """Canonical set partition of {1..k, 1'..k'}; immutable and hashable."""
 
-    __slots__ = ("order", "blocks", "_hash")
+    __slots__ = ("order", "labels", "_hash")
 
     order: int
-    blocks: tuple[tuple[int, ...], ...]
+    labels: tuple[int, ...]
 
     def __init__(self, order: int, blocks: Iterable[Iterable[int]]):
         if type(order) is not int or order < 0:
             raise ValueError("order must be a nonnegative integer")
-        canonical = tuple(
-            sorted(
-                (tuple(sorted(block, key=_node_key)) for block in blocks),
-                key=lambda block: _node_key(block[0]),
-            )
-        )
-        seen: set[int] = set()
-        for block in canonical:
-            if not block:
-                raise ValueError("empty block")
+        owner: dict[int, int] = {}  # node -> index of its input block
+        for index, block in enumerate(blocks):
+            size = 0
             for v in block:
                 if v == 0 or abs(v) > order:
                     raise ValueError(f"node {node_name(v) if v else v} out of range")
-                if v in seen:
+                if v in owner:
                     raise ValueError(f"duplicate node {node_name(v)}")
-                seen.add(v)
-        if len(seen) != 2 * order:
+                owner[v] = index
+                size += 1
+            if not size:
+                raise ValueError("empty block")
+        if len(owner) != 2 * order:
             for i in range(1, order + 1):
                 for v in (i, -i):
-                    if v not in seen:
+                    if v not in owner:
                         raise ValueError(f"missing node {node_name(v)}")
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "blocks", canonical)
-        object.__setattr__(self, "_hash", hash((order, canonical)))
-
-    @classmethod
-    def _canonical(cls, order: int, blocks: tuple[tuple[int, ...], ...]):
-        """Wrap blocks already in canonical form, skipping the checks."""
-        d = object.__new__(cls)
-        object.__setattr__(d, "order", order)
-        object.__setattr__(d, "blocks", blocks)
-        object.__setattr__(d, "_hash", hash((order, blocks)))
-        return d
+        _init(self, _rgs(map(owner.__getitem__, _slots(order)[0])))
 
     def __setattr__(self, name, value):
         raise AttributeError("PartitionDiagram is immutable")
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PartitionDiagram)
-            and self.order == other.order
-            and self.blocks == other.blocks
-        )
+        return isinstance(other, PartitionDiagram) and self.labels == other.labels
 
     def __hash__(self) -> int:
         return self._hash
@@ -120,8 +131,26 @@ class PartitionDiagram:
     def __repr__(self) -> str:
         return f"PartitionDiagram({render(self)!r})"
 
+    @property
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        """The blocks, each in node order, ordered by their minimal node."""
+        return tuple(map(tuple, _group(_slots(self.order)[0], self.labels)))
+
     def is_empty(self) -> bool:
         return self.order == 0
+
+
+def _init(d: PartitionDiagram, labels: tuple[int, ...]) -> None:
+    object.__setattr__(d, "order", len(labels) // 2)
+    object.__setattr__(d, "labels", labels)
+    object.__setattr__(d, "_hash", hash(labels))
+
+
+def _diagram(labels: tuple[int, ...]) -> PartitionDiagram:
+    """Wrap a canonical label string, skipping the checks."""
+    d = object.__new__(PartitionDiagram)
+    _init(d, labels)
+    return d
 
 
 EMPTY_DIAGRAM = PartitionDiagram(0, ())
@@ -171,12 +200,12 @@ def render(d: PartitionDiagram) -> str:
     """Canonical text form; inverse of :func:`parse`."""
     if d.is_empty():
         return "()"
-    return "/".join(",".join(node_name(v) for v in block) for block in d.blocks)
+    return "/".join(map(",".join, _group(_slots(d.order)[1], d.labels)))
 
 
 def to_json_obj(d: PartitionDiagram) -> dict:
     """JSON form ``{"order": k, "blocks": [[...]]}`` with i' encoded as -i."""
-    return {"order": d.order, "blocks": [list(block) for block in d.blocks]}
+    return {"order": d.order, "blocks": _group(_slots(d.order)[0], d.labels)}
 
 
 def from_json_obj(obj: dict) -> PartitionDiagram:
@@ -221,31 +250,44 @@ def enumerate_diagrams(
         raise ValueError("order must be nonnegative")
     if k > cap:
         raise CapExceeded(f"order {k} exceeds enumeration cap {cap}")
-    nodes = list(range(1, k + 1)) + [-i for i in range(1, k + 1)]
+    nodes = _slots(k)[0]
     blocks: list[list[int]] = []
+    labels: list[int] = []
 
     def rec(i: int) -> Iterator[PartitionDiagram]:
         if i == len(nodes):
-            # nodes were placed in node order, so the blocks are canonical
+            # blocks open in slot order, so the labels are already an RGS
             if rule is None or rule.complete(blocks):
-                yield PartitionDiagram._canonical(k, tuple([tuple(b) for b in blocks]))
+                yield _diagram(tuple(labels))
             return
         v = nodes[i]
-        for b in blocks:
+        for label, b in enumerate(blocks):
             if rule is None or rule.joins(blocks, b, v):
                 b.append(v)
+                labels.append(label)
                 yield from rec(i + 1)
+                labels.pop()
                 b.pop()
         if rule is None or rule.opens(blocks, v):
+            labels.append(len(blocks))
             blocks.append([v])
             yield from rec(i + 1)
             blocks.pop()
+            labels.pop()
 
     return rec(0)
 
 
 # ---------------------------------------------------------------------------
 # products
+
+
+def _side_by_side(a: PartitionDiagram, b: PartitionDiagram) -> list[int]:
+    # labels of the tensor before relabelling: a's top, b's top, a's bottom,
+    # b's bottom, with b's labels moved past a's
+    k, m, shift = a.order, b.order, len(a.labels)
+    moved = [x + shift for x in b.labels]
+    return [*a.labels[:k], *moved[:m], *a.labels[k:], *moved[m:]]
 
 
 @functools.lru_cache(maxsize=1 << 18)
@@ -255,11 +297,7 @@ def tensor(a: PartitionDiagram, b: PartitionDiagram) -> PartitionDiagram:
         return b
     if b.is_empty():
         return a
-    shift = a.order
-    shifted = [
-        tuple(v + shift if v > 0 else v - shift for v in block) for block in b.blocks
-    ]
-    return PartitionDiagram(a.order + b.order, list(a.blocks) + shifted)
+    return _diagram(_rgs(_side_by_side(a, b)))
 
 
 def tensor_fold(factors: Iterable[PartitionDiagram]) -> PartitionDiagram:
@@ -277,17 +315,10 @@ def bullet(a: PartitionDiagram, b: PartitionDiagram) -> PartitionDiagram:
         return b
     if b.is_empty():
         return a
-    t = tensor(a, b)
-    left, right = -a.order, -(a.order + 1)
-    merged: list[int] = []
-    rest: list[tuple[int, ...]] = []
-    for block in t.blocks:
-        if left in block or right in block:
-            merged.extend(block)
-        else:
-            rest.append(block)
-    rest.append(tuple(merged))
-    return PartitionDiagram(t.order, rest)
+    labels = _side_by_side(a, b)
+    inner = 2 * a.order + b.order  # slot of b's first bottom node
+    old, new = labels[inner], labels[inner - 1]
+    return _diagram(_rgs([new if x == old else x for x in labels]))
 
 
 def bullet_fold(factors: Iterable[PartitionDiagram]) -> PartitionDiagram:
@@ -308,9 +339,9 @@ def vertical_compose(
     """
     if a.order != b.order:
         raise ValueError(f"order mismatch: {a.order} != {b.order}")
-    k = a.order
-    # union-find over 3k slots: a-top 0..k-1, middle k..2k-1, b-bottom 2k..3k-1
-    parent = list(range(3 * k))
+    k, shift = a.order, len(a.labels)
+    # union-find over the labels: a's as they are, b's moved past a's
+    parent = list(range(2 * shift))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -318,50 +349,36 @@ def vertical_compose(
             x = parent[x]
         return x
 
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    for block in a.blocks:
-        slots = [v - 1 if v > 0 else k + (-v) - 1 for v in block]
-        for s in slots[1:]:
-            union(slots[0], s)
-    for block in b.blocks:
-        slots = [k + v - 1 if v > 0 else 2 * k + (-v) - 1 for v in block]
-        for s in slots[1:]:
-            union(slots[0], s)
-
-    components: dict[int, list[int]] = {}
-    for slot in range(3 * k):
-        components.setdefault(find(slot), []).append(slot)
-    blocks: list[list[int]] = []
-    removed = 0
-    for members in components.values():
-        block = [m + 1 for m in members if m < k]
-        block += [-(m - 2 * k + 1) for m in members if m >= 2 * k]
-        if block:
-            blocks.append(block)
-        else:
-            removed += 1
-    return PartitionDiagram(k, blocks), removed
+    for x, y in zip(a.labels[k:], b.labels[:k]):
+        parent[find(x)] = find(y + shift)
+    outer = [find(x) for x in a.labels[:k]] + [find(y + shift) for y in b.labels[k:]]
+    components = {find(x) for x in a.labels} | {find(y + shift) for y in b.labels}
+    return _diagram(_rgs(outer)), len(components) - len(set(outer))
 
 
 # ---------------------------------------------------------------------------
 # cuts, factorisations, statistics
 
-# The column of node v is abs(v); a block "crosses" position i when it has
-# nodes in columns <= i and in columns > i.
+# Column c holds slots c - 1 and k + c - 1.  A block "crosses" position i
+# when it has nodes in columns <= i and in columns > i.
 
 
 def _crossing_counts(d: PartitionDiagram) -> list[int]:
-    counts = [0] * (d.order + 1)
-    for block in d.blocks:
-        lo = min(abs(v) for v in block)
-        hi = max(abs(v) for v in block)
-        for i in range(lo, hi):
-            counts[i] += 1
-    return counts
+    """counts[i]: the blocks crossing position i, from each label's span."""
+    k, labels = d.order, d.labels
+    first: dict[int, int] = {}
+    last: dict[int, int] = {}
+    for c, x, y in zip(range(1, k + 1), labels, labels[k:]):
+        if x not in first:
+            first[x] = c
+        if y not in first:
+            first[y] = c
+        last[x] = last[y] = c
+    delta = [0] * (k + 2)
+    for x, c in first.items():
+        delta[c] += 1
+        delta[last[x]] -= 1
+    return list(accumulate(delta))
 
 
 def tensor_cuts(d: PartitionDiagram) -> list[int]:
@@ -375,29 +392,20 @@ def is_tensor_irreducible(d: PartitionDiagram) -> bool:
     return not d.is_empty() and not tensor_cuts(d)
 
 
-def _extract_segment(
-    d: PartitionDiagram, lo: int, hi: int, split_blocks: bool
-) -> PartitionDiagram:
-    # restrict to columns (lo, hi] and shift down by lo
-    blocks = []
-    for block in d.blocks:
-        piece = tuple(
-            v - lo if v > 0 else v + lo for v in block if lo < abs(v) <= hi
-        )
-        if piece:
-            if not split_blocks and len(piece) != len(block):
-                raise AssertionError("block crosses a tensor cut")
-            blocks.append(piece)
-    return PartitionDiagram(hi - lo, blocks)
+def _segments(d: PartitionDiagram, cuts: list[int]) -> list[PartitionDiagram]:
+    # split at the cuts: columns (lo, hi] of both rows, relabelled
+    k, labels = d.order, d.labels
+    bounds = [0, *cuts, k]
+    return [
+        _diagram(_rgs(labels[lo:hi] + labels[k + lo : k + hi]))
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
 
 
+# closure checks factorise each word directly and in its coproduct and antipode
 @functools.lru_cache(maxsize=1 << 16)
 def _tensor_factorize(d: PartitionDiagram) -> tuple[PartitionDiagram, ...]:
-    bounds = [0] + tensor_cuts(d) + [d.order]
-    return tuple(
-        _extract_segment(d, bounds[j], bounds[j + 1], split_blocks=False)
-        for j in range(len(bounds) - 1)
-    )
+    return tuple(_segments(d, tensor_cuts(d)))
 
 
 def tensor_factorize(d: PartitionDiagram) -> list[PartitionDiagram]:
@@ -413,26 +421,9 @@ def bullet_cuts(d: PartitionDiagram) -> list[int]:
     only one crossing the line; exactly the positions of nonempty splits
     d = x . y under the bullet product."""
     k = d.order
-    if k <= 1:
-        return []
-    owner = {}
-    for idx, block in enumerate(d.blocks):
-        for v in block:
-            if v < 0:
-                owner[-v] = idx
+    bottom = d.labels[k:]
     counts = _crossing_counts(d)
-    return [
-        i for i in range(1, k) if owner[i] == owner[i + 1] and counts[i] == 1
-    ]
-
-
-@functools.lru_cache(maxsize=1 << 16)
-def _bullet_decompose(d: PartitionDiagram) -> tuple[PartitionDiagram, ...]:
-    bounds = [0] + bullet_cuts(d) + [d.order]
-    return tuple(
-        _extract_segment(d, bounds[j], bounds[j + 1], split_blocks=True)
-        for j in range(len(bounds) - 1)
-    )
+    return [i for i in range(1, k) if bottom[i - 1] == bottom[i] and counts[i] == 1]
 
 
 def bullet_decompose(d: PartitionDiagram) -> list[PartitionDiagram]:
@@ -440,7 +431,7 @@ def bullet_decompose(d: PartitionDiagram) -> list[PartitionDiagram]:
     factors; its length is the statistic m(d)."""
     if d.is_empty():
         raise ValueError("the empty diagram has no bullet decomposition")
-    return list(_bullet_decompose(d))
+    return _segments(d, bullet_cuts(d))
 
 
 def m_statistic(d: PartitionDiagram) -> int:
@@ -457,8 +448,5 @@ def is_bullet_irreducible(d: PartitionDiagram) -> bool:
 
 def propagation_number(d: PartitionDiagram) -> int:
     """Number of blocks containing both a top and a bottom node."""
-    return sum(
-        1
-        for block in d.blocks
-        if any(v > 0 for v in block) and any(v < 0 for v in block)
-    )
+    k = d.order
+    return len(set(d.labels[:k]) & set(d.labels[k:]))

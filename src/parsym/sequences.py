@@ -23,27 +23,33 @@ from .families import Family
 COMPOSITION_ITERATION_LIMIT = 20
 
 
-def bell(n: int) -> int:
-    """Bell number B_n via the Bell triangle; B_0 = 1."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    row = [1]
+def _bell_numbers(n: int) -> list[int]:
+    """B_0, ..., B_n (just B_0 for n <= 0) from one walk of the Bell triangle."""
+    out, row = [1], [1]
     for _ in range(n):
         nxt = [row[-1]]
         for value in row:
             nxt.append(nxt[-1] + value)
         row = nxt
-    return row[0]
+        out.append(row[0])
+    return out
+
+
+def bell(n: int) -> int:
+    """Bell number B_n via the Bell triangle; B_0 = 1."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    return _bell_numbers(n)[-1]
 
 
 def bell_sequence(n: int) -> list[int]:
     """B_1, ..., B_n."""
-    return [bell(i) for i in range(1, n + 1)]
+    return _bell_numbers(n)[1:]
 
 
 def even_bell_sequence(n: int) -> list[int]:
     """B_2, B_4, ..., B_{2n}: the dimensions of the diagram algebras."""
-    return [bell(2 * i) for i in range(1, n + 1)]
+    return _bell_numbers(2 * n)[2::2]
 
 
 def compositions(n: int) -> Iterator[tuple[int, ...]]:

@@ -107,6 +107,9 @@ class TestOps:
             '{"order":1,"blocks":5}',
             '{"order":1,"blocks":[[true,-1]]}',
             '{"order":1.0,"blocks":[[1,-1]]}',
+            '{"order":1,"blocks":[[],[1,-1]]}',
+            '{"order":0,"blocks":[[]]}',
+            '{"order":' + "[" * 200_000,
         ],
     )
     def test_malformed_json_diagram_is_usage_error(self, capsys, text):

@@ -54,6 +54,15 @@ class TestBell:
     def test_sequences(self):
         assert bell_sequence(5) == [1, 2, 5, 15, 52]
         assert even_bell_sequence(7) == EVEN_BELL_7
+        assert even_bell_sequence(60) == bell_sequence(120)[1::2]
+
+    def test_binomial_recurrence(self):
+        # B_{n+1} = sum_j C(n, j) B_j, independent of the Bell triangle
+        values = [1]
+        for n in range(120):
+            values.append(sum(math.comb(n, j) * values[j] for j in range(n + 1)))
+        assert [bell(n) for n in range(121)] == values
+        assert bell_sequence(120) == values[1:]
 
 
 class TestCompositions:
