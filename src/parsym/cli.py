@@ -51,6 +51,11 @@ OP_VERBS = (
     "qsym-image",
 )
 
+# Sequences cost O(terms^2) big-integer products, each boolean(...) one more
+# transform; the slowest name at both caps takes 3.5 s on a 2-vCPU host.
+SEQUENCE_TERMS_CAP = 400
+SEQUENCE_NESTING_CAP = 8
+
 CLOSURE_FAMILIES = tuple(f for f in Family if f is not Family.ALL)
 # the planar composites have no closed dimension formula
 FORMULA_FAMILIES = tuple(f for f in CLOSURE_FAMILIES if "planar-" not in f.value)
@@ -147,9 +152,11 @@ def _qsym_out(el: nsym.QSymImage, as_json: bool) -> None:
         _emit([f"{c} M{nsym.render_composition(a)}" for a, c in items])
 
 
-def _require_positive(value: int, flag: str) -> None:
+def _require_positive(value: int, flag: str, cap: int | None = None) -> None:
     if value < 1:
         raise UsageError(f"{flag} must be at least 1, got {value}")
+    if cap is not None and value > cap:
+        raise UsageError(f"{flag} {value} exceeds the cap {cap}")
 
 
 def _require(args: list[str], count: int, verb: str) -> None:
@@ -275,7 +282,9 @@ def _resolve_sequence(name: str, family_name: str | None, terms: int) -> list[in
 
 
 def _run_seq(ns) -> int:
-    _require_positive(ns.terms, "--terms")
+    _require_positive(ns.terms, "--terms", SEQUENCE_TERMS_CAP)
+    if ns.name.count("boolean(") > SEQUENCE_NESTING_CAP:
+        raise UsageError(f"boolean(...) nested past the cap {SEQUENCE_NESTING_CAP}")
     values = _resolve_sequence(ns.name, ns.family, ns.terms)
     if ns.json:
         print(json.dumps([str(v) for v in values]))
@@ -290,7 +299,8 @@ def _run_verify(ns) -> int:
     if ns.terms is None:
         ns.terms = 7 if ns.what == "gf" else 4
     if ns.what in ("gf", "counts"):
-        _require_positive(ns.terms, "--terms")
+        cap = SEQUENCE_TERMS_CAP if ns.what == "gf" else None
+        _require_positive(ns.terms, "--terms", cap)
     else:
         _require_positive(ns.max_degree, "--max-degree")
     if ns.what == "hopf":

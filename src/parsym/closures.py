@@ -41,8 +41,12 @@ _LARGE = (Family.ALL, Family.PLANAR)
 
 
 def is_primitive_basis_diagram(d: PartitionDiagram) -> bool:
-    """H_d is primitive iff d is tensor-irreducible with bullet statistic 1."""
-    return is_tensor_irreducible(d) and m_statistic(d) == 1
+    """H_d is primitive iff d is tensor-irreducible with bullet statistic 1.
+    The irreducibility test reads the cached factorisation, which the
+    closure checks reuse."""
+    return (
+        not d.is_empty() and len(tensor_factorize(d)) == 1 and m_statistic(d) == 1
+    )
 
 
 @dataclass(frozen=True)

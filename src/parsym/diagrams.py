@@ -228,12 +228,13 @@ def _always(*_args) -> bool:
 
 class GrowthRule(NamedTuple):
     """Pruning for ``enumerate_diagrams``, which places nodes in node order:
-    may node v join block b, may v open a new block, is a finished
-    partition accepted.  A refused branch is skipped whole, so the accepted
-    diagrams come out in the unpruned order."""
+    may node v join block b, may v open a new block with ``left`` nodes
+    still to place after it, is a finished partition accepted.  A refused
+    branch is skipped whole, so the accepted diagrams come out in the
+    unpruned order."""
 
     joins: Callable[[list[list[int]], list[int], int], bool]
-    opens: Callable[[list[list[int]], int], bool] = _always
+    opens: Callable[[list[list[int]], int, int], bool] = _always
     complete: Callable[[list[list[int]]], bool] = _always
 
 
@@ -243,39 +244,51 @@ def enumerate_diagrams(
     """Yield every diagram of order k once, in restricted-growth-string
     lexicographic order over the node order (Knuth, TAOCP 4A 7.2.1.5); the
     count is the Bell number of 2k.  With a ``rule``, yield only the
-    diagrams it admits, in the same order.  Refuses k beyond the cap
-    (default 6, env PARSYM_MAX_ORDER)."""
+    diagrams it admits, in the same order.  The walk is a lazy depth-first
+    loop over one label string.  Refuses k beyond the cap (default 6, env
+    PARSYM_MAX_ORDER)."""
     cap = global_max_order() if max_order is None else max_order
     if k < 0:
         raise ValueError("order must be nonnegative")
     if k > cap:
         raise CapExceeded(f"order {k} exceeds enumeration cap {cap}")
-    nodes = _slots(k)[0]
-    blocks: list[list[int]] = []
+    return _walk(_slots(k)[0], rule or GrowthRule(_always))
+
+
+def _walk(nodes: tuple[int, ...], rule: GrowthRule) -> Iterator[PartitionDiagram]:
+    joins, opens, complete = rule
+    n = len(nodes)
     labels: list[int] = []
-
-    def rec(i: int) -> Iterator[PartitionDiagram]:
-        if i == len(nodes):
+    blocks: list[list[int]] = []
+    x = 0  # the next block to try for node len(labels); len(blocks) opens one
+    while True:
+        i = len(labels)
+        if i < n:
+            v = nodes[i]
+            while x < len(blocks) and not joins(blocks, blocks[x], v):
+                x += 1
+            if x < len(blocks):
+                blocks[x].append(v)
+                labels.append(x)
+                x = 0
+                continue
+            if x == len(blocks) and opens(blocks, v, n - i - 1):
+                blocks.append([v])
+                labels.append(x)
+                x = 0
+                continue
+        elif complete(blocks):
             # blocks open in slot order, so the labels are already an RGS
-            if rule is None or rule.complete(blocks):
-                yield _diagram(tuple(labels))
+            yield _diagram(tuple(labels))
+        if not labels:
             return
-        v = nodes[i]
-        for label, b in enumerate(blocks):
-            if rule is None or rule.joins(blocks, b, v):
-                b.append(v)
-                labels.append(label)
-                yield from rec(i + 1)
-                labels.pop()
-                b.pop()
-        if rule is None or rule.opens(blocks, v):
-            labels.append(len(blocks))
-            blocks.append([v])
-            yield from rec(i + 1)
+        # backtrack: take the last node off and try its next block
+        x = labels.pop()
+        b = blocks[x]
+        b.pop()
+        if not b:
             blocks.pop()
-            labels.pop()
-
-    return rec(0)
+        x += 1
 
 
 # ---------------------------------------------------------------------------
@@ -363,28 +376,24 @@ def vertical_compose(
 # when it has nodes in columns <= i and in columns > i.
 
 
-def _crossing_counts(d: PartitionDiagram) -> list[int]:
-    """counts[i]: the blocks crossing position i, from each label's span."""
-    k, labels = d.order, d.labels
-    first: dict[int, int] = {}
-    last: dict[int, int] = {}
-    for c, x, y in zip(range(1, k + 1), labels, labels[k:]):
-        if x not in first:
-            first[x] = c
-        if y not in first:
-            first[y] = c
-        last[x] = last[y] = c
-    delta = [0] * (k + 2)
-    for x, c in first.items():
-        delta[c] += 1
-        delta[last[x]] -= 1
-    return list(accumulate(delta))
-
-
 def tensor_cuts(d: PartitionDiagram) -> list[int]:
-    """Positions i with no block crossing the line between columns i, i+1."""
-    counts = _crossing_counts(d)
-    return [i for i in range(1, d.order) if counts[i] == 0]
+    """Positions i with no block crossing the line between columns i, i+1:
+    walking the columns, i is a cut iff no block seen so far reaches past
+    column i."""
+    k, labels = d.order, d.labels
+    last = [0] * len(labels)  # last column of each label
+    for c, x, y in zip(range(1, k + 1), labels, labels[k:]):
+        last[x] = last[y] = c
+    cuts = []
+    reach = 0
+    for c, x, y in zip(range(1, k), labels, labels[k:]):
+        if last[x] > reach:
+            reach = last[x]
+        if last[y] > reach:
+            reach = last[y]
+        if reach == c:
+            cuts.append(c)
+    return cuts
 
 
 def is_tensor_irreducible(d: PartitionDiagram) -> bool:
@@ -420,9 +429,22 @@ def bullet_cuts(d: PartitionDiagram) -> list[int]:
     """Positions i where i' and (i+1)' share a block and that block is the
     only one crossing the line; exactly the positions of nonempty splits
     d = x . y under the bullet product."""
-    k = d.order
-    bottom = d.labels[k:]
-    counts = _crossing_counts(d)
+    k, labels = d.order, d.labels
+    # counts[i]: the blocks crossing position i, from each label's span
+    first: dict[int, int] = {}
+    last: dict[int, int] = {}
+    for c, x, y in zip(range(1, k + 1), labels, labels[k:]):
+        if x not in first:
+            first[x] = c
+        if y not in first:
+            first[y] = c
+        last[x] = last[y] = c
+    delta = [0] * (k + 2)
+    for x, c in first.items():
+        delta[c] += 1
+        delta[last[x]] -= 1
+    counts = list(accumulate(delta))
+    bottom = labels[k:]
     return [i for i in range(1, k) if bottom[i - 1] == bottom[i] and counts[i] == 1]
 
 

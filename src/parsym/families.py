@@ -12,7 +12,7 @@ Membership predicates:
 
 The empty diagram belongs to every family.
 
-``enumerate_family`` prunes the recursion of ``enumerate_diagrams`` with a
+``enumerate_family`` prunes the walk of ``enumerate_diagrams`` with a
 per-family ``GrowthRule``, so it visits only branches that can still give
 a member; the closure checks test coproduct legs and antipode words with
 the predicates.
@@ -132,8 +132,10 @@ def _planar(rule: GrowthRule) -> GrowthRule:
 
 
 _MATCHING = GrowthRule(lambda blocks, b, v: len(b) == 1)
+# a new lone node must leave no more lone nodes than nodes left to pair them
 _PERFECT_MATCHING = _MATCHING._replace(
-    complete=lambda blocks: all(len(b) == 2 for b in blocks)
+    opens=lambda blocks, v, left: sum(len(b) == 1 for b in blocks) < left,
+    complete=lambda blocks: all(len(b) == 2 for b in blocks),
 )
 # a bottom node may only pair with a lone top node
 _PARTIAL_PERMUTATION = GrowthRule(
@@ -143,7 +145,9 @@ _PARTIAL_PERMUTATION = GrowthRule(
 _RULES = {
     # only top nodes open blocks, so every bottom node closes one and a
     # finished partition is k propagating pairs
-    Family.PERMUTATION: _PARTIAL_PERMUTATION._replace(opens=lambda blocks, v: v > 0),
+    Family.PERMUTATION: _PARTIAL_PERMUTATION._replace(
+        opens=lambda blocks, v, left: v > 0
+    ),
     Family.PLANAR: GrowthRule(_no_crossing),
     Family.MATCHING: _MATCHING,
     Family.PERFECT_MATCHING: _PERFECT_MATCHING,

@@ -4,8 +4,12 @@ import sys
 
 import pytest
 
-from parsym.cli import main
-from parsym.sequences import boolean_transform_by_series, even_bell_sequence
+from parsym.cli import SEQUENCE_NESTING_CAP, main
+from parsym.sequences import (
+    boolean_transform_by_series,
+    even_bell_sequence,
+    irreducible_count_sequence,
+)
 
 
 def run_cli(capsys, *argv):
@@ -278,6 +282,29 @@ class TestSizes:
         code, out, err = run_cli(capsys, *argv.split())
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv", ["seq a --terms 99999999999", "verify gf --terms 99999999"]
+    )
+    def test_terms_above_sequence_cap_refused(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv.split())
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and "cap" in err
+
+    def test_nesting_above_cap_refused(self, capsys):
+        name = "boolean(" * 1200 + "a" + ")" * 1200
+        code, out, err = run_cli(capsys, "seq", name, "--terms", "3")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and "cap" in err
+
+    def test_nesting_at_cap(self, capsys):
+        name = "boolean(" * SEQUENCE_NESTING_CAP + "a" + ")" * SEQUENCE_NESTING_CAP
+        code, out, _ = run_cli(capsys, "seq", name, "--terms", "5")
+        expected = irreducible_count_sequence(5)
+        for _ in range(SEQUENCE_NESTING_CAP):
+            expected = boolean_transform_by_series(expected)
+        assert code == 0
+        assert [int(line) for line in out.splitlines()] == expected
 
     def test_order_zero_is_the_empty_diagram(self, capsys):
         assert run_cli(capsys, "enumerate", "--order", "0") == (0, "()\n", "")

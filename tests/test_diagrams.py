@@ -1,4 +1,5 @@
 import random
+from itertools import islice, product
 
 import pytest
 
@@ -26,6 +27,7 @@ from parsym.diagrams import (
     to_json_obj,
     vertical_compose,
 )
+from test_diagram_properties import tensor_cuts_oracle
 
 D4 = parse("1,2,3/4/1',2'/3',4'")
 ID1 = parse("1,1'")
@@ -113,6 +115,29 @@ class TestEnumeration:
             mine = all_diagrams(k)
             assert len(mine) == len(set(mine)) == len(brute)
             assert set(mine) == brute
+
+    def test_labels_match_product_oracle(self):
+        # every tuple over range(2k) that is a restricted growth string, in
+        # lexicographic order
+        def is_rgs(labels):
+            opened = 0
+            for x in labels:
+                if x > opened:
+                    return False
+                opened = max(opened, x + 1)
+            return True
+
+        for k in range(4):
+            expected = [t for t in product(range(2 * k), repeat=2 * k) if is_rgs(t)]
+            assert [d.labels for d in enumerate_diagrams(k)] == expected
+
+    def test_walk_is_lazy(self):
+        # order 6 has 4,213,597 diagrams; the first three come at once
+        assert [d.labels for d in islice(enumerate_diagrams(6), 3)] == [
+            (0,) * 12,
+            (0,) * 11 + (1,),
+            (0,) * 10 + (1, 0),
+        ]
 
     def test_order_one_stream(self):
         assert [render(d) for d in enumerate_diagrams(1)] == ["1,1'", "1/1'"]
@@ -240,6 +265,10 @@ class TestTensorCuts:
         assert tensor_cuts(parse("1,1'/2,2'")) == [1]
         assert tensor_cuts(D4) == []
         assert tensor_cuts(parse("1,2,1',2'/3/3'")) == [2]
+
+    def test_matches_blocks_oracle_up_to_order_four(self):
+        for d in small_diagrams(4):
+            assert tensor_cuts(d) == tensor_cuts_oracle(d)
 
     def test_cut_iff_splits_brute_force(self):
         for k in range(1, 4):

@@ -49,6 +49,9 @@ GOLDEN = {
     "verify hopf --max-degree 3 --json": "045f0a2687f1194e116f1495e7cd05bba0be6e603a97e5c87293f40620ba3597",
     "verify closure --max-degree 3": "0465a7127001f96cac78fec64e32ce0e7a28f59e750ef1691526914a2f26f418",
     "verify closure --max-degree 3 --json": "504077c70e150ac100b651213362650ac99a445e2983ca7192bf2fb253ef7765",
+    # exhaustive sweeps: the order-5 generator count and the family counts
+    "count --order 5 --irreducible": "190abdcf8d670dd94ee3417ab646bcd2a565a02728105026bac6025f8ffffef0",
+    "verify counts --terms 5": "fabcb58a22a13dc28004e5115cdda913260c9fd7dd2796737603e44c14c232ee",
     # family members, in enumeration order, for every family
     "enumerate --order 3 --family all": "c7fbb64974af9587e954a9df18044ac2a5a4c12d687329c5c875fb5fe2c8c08c",
     "enumerate --order 3 --family all --json": "c0042819043254460a0c3730c4731f53b368802b39e42b7d1490085fa494e49c",
