@@ -117,7 +117,10 @@ class PartitionDiagram:
                 for v in (i, -i):
                     if v not in owner:
                         raise ValueError(f"missing node {node_name(v)}")
-        _init(self, _rgs(map(owner.__getitem__, _slots(order)[0])))
+        labels = _rgs(map(owner.__getitem__, _slots(order)[0]))
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "_hash", hash(labels))
 
     def __setattr__(self, name, value):
         raise AttributeError("PartitionDiagram is immutable")
@@ -140,16 +143,12 @@ class PartitionDiagram:
         return self.order == 0
 
 
-def _init(d: PartitionDiagram, labels: tuple[int, ...]) -> None:
-    object.__setattr__(d, "order", len(labels) // 2)
-    object.__setattr__(d, "labels", labels)
-    object.__setattr__(d, "_hash", hash(labels))
-
-
 def _diagram(labels: tuple[int, ...]) -> PartitionDiagram:
     """Wrap a canonical label string, skipping the checks."""
     d = object.__new__(PartitionDiagram)
-    _init(d, labels)
+    object.__setattr__(d, "order", len(labels) // 2)
+    object.__setattr__(d, "labels", labels)
+    object.__setattr__(d, "_hash", hash(labels))
     return d
 
 
@@ -227,15 +226,15 @@ def _always(*_args) -> bool:
 
 
 class GrowthRule(NamedTuple):
-    """Pruning for ``enumerate_diagrams``, which places nodes in node order:
-    may node v join block b, may v open a new block with ``left`` nodes
-    still to place after it, is a finished partition accepted.  A refused
-    branch is skipped whole, so the accepted diagrams come out in the
-    unpruned order."""
+    """Pruning for ``enumerate_diagrams``, which places nodes in node order,
+    by two checks: may node v join block b, and may v open a new block with
+    ``left`` nodes still to place after it.  A refused branch is skipped
+    whole, so the admitted diagrams come out in the unpruned order; every
+    finished partition is admitted, so a rule must refuse early any branch
+    that cannot finish as a member."""
 
     joins: Callable[[list[list[int]], list[int], int], bool]
     opens: Callable[[list[list[int]], int, int], bool] = _always
-    complete: Callable[[list[list[int]]], bool] = _always
 
 
 def enumerate_diagrams(
@@ -256,7 +255,7 @@ def enumerate_diagrams(
 
 
 def _walk(nodes: tuple[int, ...], rule: GrowthRule) -> Iterator[PartitionDiagram]:
-    joins, opens, complete = rule
+    joins, opens = rule
     n = len(nodes)
     labels: list[int] = []
     blocks: list[list[int]] = []
@@ -277,7 +276,7 @@ def _walk(nodes: tuple[int, ...], rule: GrowthRule) -> Iterator[PartitionDiagram
                 labels.append(x)
                 x = 0
                 continue
-        elif complete(blocks):
+        else:
             # blocks open in slot order, so the labels are already an RGS
             yield _diagram(tuple(labels))
         if not labels:

@@ -1,6 +1,7 @@
 """Diagram families carving out the classical diagram subalgebras.
 
-Membership predicates:
+Each family is defined once, by a ``GrowthRule`` over the node order
+1, ..., k, 1', ..., k':
 
 * permutation: every block is a propagating pair {i, j'};
 * planar: no two blocks cross in the boundary order 1, ..., k, k', ..., 1';
@@ -10,12 +11,9 @@ Membership predicates:
 * the three planar-* tags are conjunctions (Temperley-Lieb, Motzkin,
   planar rook).
 
-The empty diagram belongs to every family.
-
-``enumerate_family`` prunes the walk of ``enumerate_diagrams`` with a
-per-family ``GrowthRule``, so it visits only branches that can still give
-a member; the closure checks test coproduct legs and antipode words with
-the predicates.
+The empty diagram belongs to every family.  ``enumerate_family`` prunes the
+walk of ``enumerate_diagrams`` with the rule; ``family_member``, which the
+closure checks use, replays a diagram's labels through it.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ from __future__ import annotations
 import enum
 from typing import Iterator
 
-from .diagrams import GrowthRule, PartitionDiagram, enumerate_diagrams
+from .diagrams import GrowthRule, PartitionDiagram, _slots, enumerate_diagrams
 
 
 class Family(enum.Enum):
@@ -43,70 +41,6 @@ class Family(enum.Enum):
             if fam.value == name:
                 return fam
         raise ValueError(f"unknown family {name!r}")
-
-
-def _is_permutation(d: PartitionDiagram) -> bool:
-    return all(
-        len(block) == 2 and block[0] > 0 and block[1] < 0 for block in d.blocks
-    )
-
-
-def _boundary_position(v: int, k: int) -> int:
-    # walk the rectangle boundary: 1, ..., k along the top, then k', ..., 1'
-    return v if v > 0 else 2 * k + 1 + v
-
-
-def _blocks_cross(a: tuple[int, ...], b: tuple[int, ...], k: int) -> bool:
-    merged = sorted(
-        [(_boundary_position(v, k), 0) for v in a]
-        + [(_boundary_position(v, k), 1) for v in b]
-    )
-    switches = sum(
-        1 for i in range(1, len(merged)) if merged[i][1] != merged[i - 1][1]
-    )
-    return switches >= 3
-
-
-def _is_planar(d: PartitionDiagram) -> bool:
-    blocks = d.blocks
-    for i in range(len(blocks)):
-        for j in range(i + 1, len(blocks)):
-            if _blocks_cross(blocks[i], blocks[j], d.order):
-                return False
-    return True
-
-
-def _is_matching(d: PartitionDiagram) -> bool:
-    return all(len(block) <= 2 for block in d.blocks)
-
-
-def _is_perfect_matching(d: PartitionDiagram) -> bool:
-    return all(len(block) == 2 for block in d.blocks)
-
-
-def _is_partial_permutation(d: PartitionDiagram) -> bool:
-    return all(
-        len(block) == 1 or (block[0] > 0 and block[1] < 0) for block in d.blocks
-    ) and _is_matching(d)
-
-
-_PREDICATES = {
-    Family.ALL: lambda d: True,
-    Family.PERMUTATION: _is_permutation,
-    Family.PLANAR: _is_planar,
-    Family.MATCHING: _is_matching,
-    Family.PERFECT_MATCHING: _is_perfect_matching,
-    Family.PARTIAL_PERMUTATION: _is_partial_permutation,
-    Family.PLANAR_PERFECT_MATCHING: lambda d: _is_perfect_matching(d)
-    and _is_planar(d),
-    Family.PLANAR_MATCHING: lambda d: _is_matching(d) and _is_planar(d),
-    Family.PLANAR_PARTIAL_PERMUTATION: lambda d: _is_partial_permutation(d)
-    and _is_planar(d),
-}
-
-
-def family_member(d: PartitionDiagram, family: Family) -> bool:
-    return _PREDICATES[family](d)
 
 
 # ---------------------------------------------------------------------------
@@ -132,10 +66,10 @@ def _planar(rule: GrowthRule) -> GrowthRule:
 
 
 _MATCHING = GrowthRule(lambda blocks, b, v: len(b) == 1)
-# a new lone node must leave no more lone nodes than nodes left to pair them
+# a new lone node must leave no more lone nodes than nodes left to pair
+# them, so at the leaf every block is a pair
 _PERFECT_MATCHING = _MATCHING._replace(
-    opens=lambda blocks, v, left: sum(len(b) == 1 for b in blocks) < left,
-    complete=lambda blocks: all(len(b) == 2 for b in blocks),
+    opens=lambda blocks, v, left: sum(len(b) == 1 for b in blocks) < left
 )
 # a bottom node may only pair with a lone top node
 _PARTIAL_PERMUTATION = GrowthRule(
@@ -163,3 +97,25 @@ def enumerate_family(
 ) -> Iterator[PartitionDiagram]:
     """Family members of order k, in the global enumeration order."""
     return enumerate_diagrams(k, max_order=max_order, rule=_RULES.get(family))
+
+
+def family_member(d: PartitionDiagram, family: Family) -> bool:
+    """True iff d's labels, replayed in slot order through the family's
+    rule, admit every node as a join or, where its label is new, as an open.
+    The walk of ``enumerate_family`` visits exactly these paths."""
+    rule = _RULES.get(family)
+    if rule is None:
+        return True
+    blocks: list[list[int]] = []
+    left = len(d.labels)
+    for v, x in zip(_slots(d.order)[0], d.labels):
+        left -= 1
+        if x < len(blocks):
+            if not rule.joins(blocks, blocks[x], v):
+                return False
+            blocks[x].append(v)
+        elif rule.opens(blocks, v, left):
+            blocks.append([v])
+        else:
+            return False
+    return True

@@ -15,7 +15,9 @@ b_n = a_n - sum_{j<n} b_j a_{n-j} is the production path) and cross-checked.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator, Sequence
 
 from .families import Family
@@ -246,7 +248,7 @@ def verify_gf_identity(n: int) -> GfReport:
 
 
 # ---------------------------------------------------------------------------
-# closed dimension formulas (per order k >= 1)
+# dimension sequences of the families with a closed form
 
 
 def double_factorial_odd(i: int) -> int:
@@ -258,31 +260,37 @@ def double_factorial_odd(i: int) -> int:
 
 
 def family_dimension(family: Family, k: int) -> int:
-    """Exact dimension of the family's span in degree k, by closed formula.
+    """Exact dimension of the family's span in degree k."""
+    if k < 1:
+        raise ValueError("k must be positive")
+    return family_dimension_sequence(family, k)[-1]
+
+
+def family_dimension_sequence(family: Family, n: int) -> list[int]:
+    """The family's dimensions in degrees 1..n, each sequence in one pass.
 
     Raises for the composite planar families, which have no formula at this
     layer and are counted by enumeration instead.
     """
-    if k < 1:
-        raise ValueError("k must be positive")
     if family is Family.ALL:
-        return bell(2 * k)
+        return even_bell_sequence(n)
     if family is Family.PLANAR:
-        value, rem = divmod(math.comb(4 * k, 2 * k), 2 * k + 1)
-        assert rem == 0
-        return value
+        # Catalan numbers C_2k
+        return [math.comb(4 * k, 2 * k) // (2 * k + 1) for k in range(1, n + 1)]
     if family is Family.MATCHING:
-        return sum(
-            math.comb(2 * k, 2 * i) * double_factorial_odd(i) for i in range(k + 1)
-        )
+        # involution numbers I_2k, from I_m = I_{m-1} + (m - 1) I_{m-2}
+        involutions = [1, 1]
+        for m in range(2, 2 * n + 1):
+            involutions.append(involutions[-1] + (m - 1) * involutions[-2])
+        return involutions[2::2]
     if family is Family.PERFECT_MATCHING:
-        return double_factorial_odd(k)
+        return list(accumulate(range(1, 2 * n, 2), operator.mul))
     if family is Family.PARTIAL_PERMUTATION:
-        return sum(math.comb(k, i) ** 2 * math.factorial(i) for i in range(k + 1))
+        # rook numbers R_k = 2k R_{k-1} - (k - 1)^2 R_{k-2}, R_0 = 1, R_1 = 2
+        rooks = [1, 2]
+        for k in range(2, n + 1):
+            rooks.append(2 * k * rooks[-1] - (k - 1) ** 2 * rooks[-2])
+        return rooks[1 : n + 1]
     if family is Family.PERMUTATION:
-        return math.factorial(k)
+        return list(accumulate(range(1, n + 1), operator.mul))
     raise ValueError(f"no closed dimension formula for {family.value}")
-
-
-def family_dimension_sequence(family: Family, n: int) -> list[int]:
-    return [family_dimension(family, k) for k in range(1, n + 1)]

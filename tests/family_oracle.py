@@ -1,0 +1,98 @@
+"""Test oracle for the diagram families, independent of the growth rules.
+
+Membership is decided by predicates over the ``blocks`` view, and the
+dimensions by the closed-form sums.  The library defines each family only
+by its ``GrowthRule``; the tests compare ``family_member``,
+``enumerate_family`` and ``family_dimension_sequence`` against these.
+"""
+
+import math
+
+from parsym.diagrams import PartitionDiagram
+from parsym.families import Family
+from parsym.sequences import bell, double_factorial_odd
+
+
+def _is_permutation(d: PartitionDiagram) -> bool:
+    return all(
+        len(block) == 2 and block[0] > 0 and block[1] < 0 for block in d.blocks
+    )
+
+
+def _boundary_position(v: int, k: int) -> int:
+    # walk the rectangle boundary: 1, ..., k along the top, then k', ..., 1'
+    return v if v > 0 else 2 * k + 1 + v
+
+
+def _blocks_cross(a: tuple[int, ...], b: tuple[int, ...], k: int) -> bool:
+    merged = sorted(
+        [(_boundary_position(v, k), 0) for v in a]
+        + [(_boundary_position(v, k), 1) for v in b]
+    )
+    switches = sum(
+        1 for i in range(1, len(merged)) if merged[i][1] != merged[i - 1][1]
+    )
+    return switches >= 3
+
+
+def _is_planar(d: PartitionDiagram) -> bool:
+    blocks = d.blocks
+    for i in range(len(blocks)):
+        for j in range(i + 1, len(blocks)):
+            if _blocks_cross(blocks[i], blocks[j], d.order):
+                return False
+    return True
+
+
+def _is_matching(d: PartitionDiagram) -> bool:
+    return all(len(block) <= 2 for block in d.blocks)
+
+
+def _is_perfect_matching(d: PartitionDiagram) -> bool:
+    return all(len(block) == 2 for block in d.blocks)
+
+
+def _is_partial_permutation(d: PartitionDiagram) -> bool:
+    return all(
+        len(block) == 1 or (block[0] > 0 and block[1] < 0) for block in d.blocks
+    ) and _is_matching(d)
+
+
+_PREDICATES = {
+    Family.ALL: lambda d: True,
+    Family.PERMUTATION: _is_permutation,
+    Family.PLANAR: _is_planar,
+    Family.MATCHING: _is_matching,
+    Family.PERFECT_MATCHING: _is_perfect_matching,
+    Family.PARTIAL_PERMUTATION: _is_partial_permutation,
+    Family.PLANAR_PERFECT_MATCHING: lambda d: _is_perfect_matching(d)
+    and _is_planar(d),
+    Family.PLANAR_MATCHING: lambda d: _is_matching(d) and _is_planar(d),
+    Family.PLANAR_PARTIAL_PERMUTATION: lambda d: _is_partial_permutation(d)
+    and _is_planar(d),
+}
+
+
+def oracle_member(d: PartitionDiagram, family: Family) -> bool:
+    return _PREDICATES[family](d)
+
+
+def closed_form_dimension(family: Family, k: int) -> int:
+    """The family's dimension in degree k >= 1 as a closed-form sum."""
+    if family is Family.ALL:
+        return bell(2 * k)
+    if family is Family.PLANAR:
+        value, rem = divmod(math.comb(4 * k, 2 * k), 2 * k + 1)
+        assert rem == 0
+        return value
+    if family is Family.MATCHING:
+        return sum(
+            math.comb(2 * k, 2 * i) * double_factorial_odd(i) for i in range(k + 1)
+        )
+    if family is Family.PERFECT_MATCHING:
+        return double_factorial_odd(k)
+    if family is Family.PARTIAL_PERMUTATION:
+        return sum(math.comb(k, i) ** 2 * math.factorial(i) for i in range(k + 1))
+    if family is Family.PERMUTATION:
+        return math.factorial(k)
+    raise ValueError(f"no closed dimension formula for {family.value}")

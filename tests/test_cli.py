@@ -1,15 +1,27 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import parsym
 from parsym.cli import SEQUENCE_NESTING_CAP, main
 from parsym.sequences import (
     boolean_transform_by_series,
     even_bell_sequence,
     irreducible_count_sequence,
 )
+
+
+# subprocesses import the package under test, whether installed or not
+SUBPROCESS_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(Path(parsym.__file__).parents[1]), os.environ.get("PYTHONPATH")])
+    ),
+}
 
 
 def run_cli(capsys, *argv):
@@ -328,6 +340,7 @@ class TestDeterminism:
             [sys.executable, "-m", "parsym.cli", "seq", "a", "--terms", "3"],
             capture_output=True,
             text=True,
+            env=SUBPROCESS_ENV,
         )
         assert result.returncode == 0
         assert result.stdout == "2\n11\n151\n"
@@ -337,5 +350,6 @@ class TestDeterminism:
             [sys.executable, "-m", "parsym", "count", "--order", "1"],
             capture_output=True,
             text=True,
+            env=SUBPROCESS_ENV,
         )
         assert (result.returncode, result.stdout) == (0, "2\n")

@@ -36,10 +36,10 @@ def canonical(blocks):
 
 
 @st.composite
-def partitions(draw, max_order=12):
+def partitions(draw, min_order=0, max_order=12):
     """(k, blocks) for a random set partition of 1..k, 1'..k', in random
     node and block order."""
-    k = draw(st.integers(0, max_order))
+    k = draw(st.integers(min_order, max_order))
     nodes = [*range(1, k + 1), *range(-1, -k - 1, -1)]
     ids = draw(st.lists(st.integers(0, 2 * k), min_size=2 * k, max_size=2 * k))
     grouped: dict[int, list[int]] = {}

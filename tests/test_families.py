@@ -1,6 +1,19 @@
-import pytest
+import functools
 
-from parsym.diagrams import EMPTY_DIAGRAM, enumerate_diagrams, parse, tensor
+import pytest
+from family_oracle import oracle_member
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_diagram_properties import partitions
+
+from parsym.diagrams import (
+    EMPTY_DIAGRAM,
+    PartitionDiagram,
+    enumerate_diagrams,
+    parse,
+    tensor,
+    tensor_fold,
+)
 from parsym.families import Family, enumerate_family, family_member
 from parsym.sequences import family_dimension
 
@@ -71,3 +84,35 @@ class TestTensorClosure:
                         for b in levels[kb]:
                             if family_member(b, family):
                                 assert family_member(tensor(a, b), family)
+
+
+class TestReplayAgainstOracle:
+    """``family_member`` replays the growth rule; the oracle tests blocks."""
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_every_diagram_to_order_four(self, family):
+        for k in range(5):
+            for d in enumerate_diagrams(k):
+                assert family_member(d, family) == oracle_member(d, family)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.data())
+    def test_random_diagrams_and_member_products(self, data):
+        random_diagrams = partitions(5, 8).map(lambda p: PartitionDiagram(*p))
+        d = data.draw(st.one_of(random_diagrams, member_products()))
+        for family in Family:
+            assert family_member(d, family) == oracle_member(d, family)
+
+
+@functools.cache
+def _members(k, family):
+    return list(enumerate_family(k, family))
+
+
+@st.composite
+def member_products(draw):
+    """The tensor product of random members of orders 1-3 of one family:
+    a member of that family, and often a non-member of the others."""
+    family = draw(st.sampled_from(list(Family)))
+    orders = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    return tensor_fold(draw(st.sampled_from(_members(k, family))) for k in orders)

@@ -1,7 +1,9 @@
 """Byte-identical CLI output: sha256 digests of stdout for the element
 operations on three fixed diagrams (one of them a reducible word), the
-embedding phi, the verification reports, and the members of every family
-(listed in enumeration order, counted and binned by the bullet statistic).
+embedding phi, the verification reports (closure per family at the largest
+degree its cap allows), the dimension sequences with a closed form, and the
+members of every family (listed in enumeration order, counted and binned by
+the bullet statistic).
 Each key is the argv, space-joined; a refactor must leave every digest
 unchanged."""
 
@@ -52,6 +54,30 @@ GOLDEN = {
     # exhaustive sweeps: the order-5 generator count and the family counts
     "count --order 5 --irreducible": "190abdcf8d670dd94ee3417ab646bcd2a565a02728105026bac6025f8ffffef0",
     "verify counts --terms 5": "fabcb58a22a13dc28004e5115cdda913260c9fd7dd2796737603e44c14c232ee",
+    # the dimension sequences with a closed form
+    "seq dim(all) --terms 100": "4f8fd51f8181cf2d3b4191a8441d6782f9f003106a080d9767a58b1040b48b03",
+    "seq dim(permutation) --terms 100": "a5b420df6829818f30ebef885fab554fb1d1927f2a2bcfe85e257a970f59f2f7",
+    "seq dim(planar) --terms 100": "299e263a03d11841312c88ade158c9cee577a6f69d976cee87c0a6983db3234d",
+    "seq dim(matching) --terms 100": "87d97ade79cda8bfd8835a98eea204460bdff77948422b515dda4d5d813cd602",
+    "seq dim(perfect-matching) --terms 100": "1ba770e72862e8a5a36b6ad2c4e13b1f595640b98ac4c83544dd5ed258610585",
+    "seq dim(partial-permutation) --terms 100": "1d39215c1652e208ab6e0ed1530a2716b1294fcf1a0a7f4c199dab2027cab72c",
+    # closure reports per family at the largest degree each cap allows
+    "verify closure --family permutation --max-degree 4": "3f76ae91f26e85b272043e3aac41349cb9a342b93ae2bf019905d465587ccb72",
+    "verify closure --family permutation --max-degree 4 --json": "0ae6f9b5cc8f9a0e6f8f6bba3755411c48c452ac36b1321dddaab858f64f33a8",
+    "verify closure --family matching --max-degree 4": "db53c684c4b4b022929ace3f0534a8511b2f661c07c54f5e8558c9e5ca467994",
+    "verify closure --family matching --max-degree 4 --json": "4182f95fd3362f07249d477a1aa673c2a1a8b251f6b61a558dfa78adfdb4dcd1",
+    "verify closure --family perfect-matching --max-degree 4": "acfef2c8c26c14d7105488ecb5d9be07f357bced01bac1be6d3bca086887d0e1",
+    "verify closure --family perfect-matching --max-degree 4 --json": "c804f05f5cd47021de6a240ea0ee2ab1cf5667854845f0ee8d6cdd1203d07f78",
+    "verify closure --family partial-permutation --max-degree 4": "83051977140b7e4b647b8150dfbd06bf572ad30daf6fb7dc46ca987d3c77c80b",
+    "verify closure --family partial-permutation --max-degree 4 --json": "fb69aaaf7a4925ea7f9eb802a7b57fcd73c18d4629bcb00c852a20d45352b1a4",
+    "verify closure --family planar-perfect-matching --max-degree 4": "5721bb454508a5b4780538714547f50a8e52d8876051dff99caa26aacbc8da4c",
+    "verify closure --family planar-perfect-matching --max-degree 4 --json": "fee506bdd427823f0e7c8e279995d6c8fae7df839db2fa7895ab05eda7c41679",
+    "verify closure --family planar-matching --max-degree 4": "930db79e2216437e0adc00d257c202068e578f10b51a59fec00fb551cf07c3e9",
+    "verify closure --family planar-matching --max-degree 4 --json": "15babbbaffc78442351e662bf2a4b9492f15738d050dcebcbcd1883119e5531c",
+    "verify closure --family planar-partial-permutation --max-degree 4": "03bb691e670d3e49b7dc25e4ca8dfdb6fbf95969d49c15ded634c5cfd1b92818",
+    "verify closure --family planar-partial-permutation --max-degree 4 --json": "0ad57a105effe7e4fb200693d82e419d9c1022cf17b55e6bfe92a388247825da",
+    "verify closure --family planar --max-degree 3": "f69c73adaac5c8ccc8158da68ededa149b412ac54f83036eac9217f4de312138",
+    "verify closure --family planar --max-degree 3 --json": "81ddf2dcf0dc9dbab431738dc3ebd229a1fe4ff14c9b54a5a9a2aa49b2bd75bc",
     # family members, in enumeration order, for every family
     "enumerate --order 3 --family all": "c7fbb64974af9587e954a9df18044ac2a5a4c12d687329c5c875fb5fe2c8c08c",
     "enumerate --order 3 --family all --json": "c0042819043254460a0c3730c4731f53b368802b39e42b7d1490085fa494e49c",

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from family_oracle import closed_form_dimension
 
 from parsym.families import Family
 from parsym.sequences import (
@@ -203,3 +204,23 @@ class TestFamilyDimensions:
     def test_composite_has_no_formula(self):
         with pytest.raises(ValueError, match="no closed dimension formula"):
             family_dimension(Family.PLANAR_PERFECT_MATCHING, 2)
+
+    def test_nonpositive_degree_rejected(self):
+        with pytest.raises(ValueError, match="k must be positive"):
+            family_dimension(Family.ALL, 0)
+
+    @pytest.mark.parametrize(
+        "family",
+        [
+            Family.ALL,
+            Family.PERMUTATION,
+            Family.PLANAR,
+            Family.MATCHING,
+            Family.PERFECT_MATCHING,
+            Family.PARTIAL_PERMUTATION,
+        ],
+    )
+    def test_one_pass_sequence_equals_closed_form(self, family):
+        expected = [closed_form_dimension(family, k) for k in range(1, 121)]
+        assert family_dimension_sequence(family, 120) == expected
+        assert family_dimension(family, 120) == expected[-1]
