@@ -46,7 +46,7 @@ from .sequences import compositions
 
 DEFAULT_TAKEUCHI_CAP = 4
 DEFAULT_ORACLE_CAP = 4
-DEFAULT_MATRIX_CAP = 4
+DEFAULT_MATRIX_CAP = 5
 
 
 class ParSymElement(LinearCombination):
@@ -133,26 +133,27 @@ def coproduct_pairs(pi: PartitionDiagram) -> list[tuple[PartitionDiagram, Partit
 
 
 @functools.lru_cache(maxsize=None)
-def _diagram_level(k: int) -> tuple[PartitionDiagram, ...]:
-    return tuple(enumerate_diagrams(k))
+def _bullet_preimages(n: int) -> dict[PartitionDiagram, list]:
+    # product -> its pairs (x, y), over nonempty x, y whose orders sum to n
+    table: dict[PartitionDiagram, list] = {}
+    for i in range(1, n):
+        for x in enumerate_diagrams(i):
+            for y in enumerate_diagrams(n - i):
+                table.setdefault(bullet(x, y), []).append((x, y))
+    return table
 
 
 def coproduct_pairs_oracle(
     pi: PartitionDiagram, max_order: int = DEFAULT_ORACLE_CAP
 ) -> list[tuple[PartitionDiagram, PartitionDiagram]]:
     """All pairs (x, y), empty diagrams included, with x . y = pi, found by
-    exhaustive enumeration over complementary orders.  Independent of the
+    multiplying out every pair of complementary orders.  Independent of the
     cut-based split rule; capped because it scans whole basis levels."""
     if not is_tensor_irreducible(pi):
         raise ValueError("expected a tensor-irreducible diagram")
     if pi.order > max_order:
         raise CapExceeded(f"oracle capped at order {max_order}")
-    found = [(EMPTY_DIAGRAM, pi), (pi, EMPTY_DIAGRAM)]
-    for i in range(1, pi.order):
-        for x in _diagram_level(i):
-            for y in _diagram_level(pi.order - i):
-                if bullet(x, y) == pi:
-                    found.append((x, y))
+    found = [(EMPTY_DIAGRAM, pi), (pi, EMPTY_DIAGRAM), *_bullet_preimages(pi.order).get(pi, ())]
     return sorted(found, key=lambda p: (sort_key(p[0]), sort_key(p[1])))
 
 
@@ -225,11 +226,12 @@ def character_zeta(a: ParSymElement) -> int:
 
 @dataclass(frozen=True)
 class EHMatrix:
-    """Change of basis from the E-family to the H-basis in one degree."""
+    """Change of basis from the E-family to the H-basis in one degree.  Row i
+    is E_{basis[i]} as sparse (column, coeff) pairs, sorted by column."""
 
     degree: int
     basis: tuple[PartitionDiagram, ...]
-    matrix: tuple[tuple[int, ...], ...]
+    matrix: tuple[tuple[tuple[int, int], ...], ...]
     determinant: int
 
 
@@ -267,22 +269,20 @@ def e_h_matrix(n: int, max_degree: int = DEFAULT_MATRIX_CAP) -> EHMatrix:
     matrix is triangular by factor count and det is the diagonal product."""
     if n > max_degree:
         raise CapExceeded(f"matrix construction capped at degree {max_degree}")
-    basis = list(enumerate_diagrams(n))
+    basis = tuple(enumerate_diagrams(n))
     index = {d: i for i, d in enumerate(basis)}
     rows = []
     det = 1
     for d in basis:
         length = len(_factors(d))
-        row = [0] * len(basis)
-        for word, coeff in e_basis_expand(d).terms.items():
-            row[index[word]] = coeff
-            if word != d and len(_factors(word)) <= length:
-                raise ArithmeticError("matrix is not triangular by word length")
-        if row[index[d]] not in (1, -1):
+        terms = e_basis_expand(d).terms
+        if any(word != d and len(_factors(word)) <= length for word in terms):
+            raise ArithmeticError("matrix is not triangular by word length")
+        if terms.get(d) not in (1, -1):
             raise ArithmeticError("diagonal entry not a unit")
-        det *= row[index[d]]
-        rows.append(row)
-    return EHMatrix(n, tuple(basis), tuple(tuple(r) for r in rows), det)
+        det *= terms[d]
+        rows.append(tuple(sorted((index[word], c) for word, c in terms.items())))
+    return EHMatrix(n, basis, tuple(rows), det)
 
 
 PARSYM = FreeHopf(

@@ -55,6 +55,9 @@ OP_VERBS = (
 # transform; the slowest name at both caps takes 3.5 s on a 2-vCPU host.
 SEQUENCE_TERMS_CAP = 400
 SEQUENCE_NESTING_CAP = 8
+# op phi builds a diagram of order sum(alpha); at the cap it takes under 1 s
+# and 80 MB on a 2-vCPU host, whatever the parts
+PHI_ORDER_CAP = 100_000
 
 CLOSURE_FAMILIES = tuple(f for f in Family if f is not Family.ALL)
 # the planar composites have no closed dimension formula
@@ -217,6 +220,8 @@ def _run_op(ns) -> int:
     if verb == "phi":
         _require(args, 1, verb)
         alpha = nsym.parse_composition(_read_text_argument(args[0]).strip())
+        if sum(alpha) > PHI_ORDER_CAP:
+            raise UsageError(f"composition total {sum(alpha)} exceeds the cap {PHI_ORDER_CAP}")
         _parsym_out(nsym.phi(nsym.nsym_h(alpha)), ns.json)
         return 0
     if verb == "qsym-image":

@@ -25,7 +25,7 @@ import re
 
 from . import hopfcheck
 from .algebra import ParSymElement, _factors, h
-from .diagrams import CapExceeded, PartitionDiagram, m_statistic
+from .diagrams import CapExceeded, PartitionDiagram, m_statistic, tensor_fold
 from .linear import FreeHopf, LinearCombination, multiplicative
 from .sequences import compositions
 
@@ -180,12 +180,7 @@ def phi_generator(n: int) -> PartitionDiagram:
 
 def phi(a: NSymElement) -> ParSymElement:
     """The embedding determined by H_n -> H(phi_generator(n))."""
-    return a.extend(
-        lambda alpha: multiplicative(
-            alpha, lambda n: h(phi_generator(n)), ParSymElement.one()
-        ),
-        ParSymElement,
-    )
+    return a.extend(lambda alpha: h(tensor_fold(map(phi_generator, alpha))), ParSymElement)
 
 
 def chi(a: ParSymElement) -> NSymElement:

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -20,7 +21,7 @@ from parsym.algebra import (
     takeuchi_antipode,
     verify_hopf_axioms,
 )
-from parsym import hopfcheck
+from parsym import algebra, hopfcheck
 from parsym.diagrams import (
     EMPTY_DIAGRAM,
     CapExceeded,
@@ -209,8 +210,20 @@ class TestEBasis:
 
     def test_matrix_order_one(self):
         report = e_h_matrix(1)
-        assert report.matrix == ((1, 0), (0, 1))
+        assert report.matrix == (((0, 1),), ((1, 1),))
         assert report.determinant == 1
+
+    def test_sparse_rows_match_expansions(self):
+        for n in (1, 2, 3):
+            report = e_h_matrix(n)
+            basis = all_diagrams(n)
+            assert list(report.basis) == basis
+            assert len(report.matrix) == len(basis)
+            for d, row in zip(basis, report.matrix):
+                columns = [j for j, _ in row]
+                assert all(a < b for a, b in zip(columns, columns[1:]))
+                assert all(coeff != 0 for _, coeff in row)
+                assert {basis[j]: coeff for j, coeff in row} == e_basis_expand(d).terms
 
     def test_matrix_determinants_are_units(self):
         for n in (1, 2, 3):
@@ -221,11 +234,47 @@ class TestEBasis:
     def test_matrix_determinant_matches_bareiss(self):
         for n in (1, 2, 3):
             report = e_h_matrix(n)
-            assert report.determinant == _det_bareiss([list(r) for r in report.matrix])
+            dense = [[0] * len(report.basis) for _ in report.basis]
+            for i, row in enumerate(report.matrix):
+                for j, coeff in row:
+                    dense[i][j] = coeff
+            assert report.determinant == _det_bareiss(dense)
+
+    def test_matrix_order_four(self):
+        report = e_h_matrix(4)
+        assert len(report.basis) == 4140
+        assert sum(len(row) for row in report.matrix) == 5373
+        assert report.determinant in (1, -1)
+
+    def test_matrix_order_four_memory(self):
+        # dense rows would hold 4140 x 4140 cells, over 130 MB
+        tracemalloc.start()
+        try:
+            e_h_matrix(4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
+    def test_matrix_refuses_non_triangular_expansion(self, monkeypatch):
+        # both order-one diagrams have one tensor factor
+        expand = algebra.e_basis_expand
+        first, second = all_diagrams(1)
+        skewed = lambda d: expand(d) + h(second if d == first else first)
+        monkeypatch.setattr(algebra, "e_basis_expand", skewed)
+        with pytest.raises(ArithmeticError, match="^matrix is not triangular by word length$"):
+            e_h_matrix(1)
+
+    def test_matrix_refuses_non_unit_diagonal(self, monkeypatch):
+        expand = algebra.e_basis_expand
+        doubled = lambda d: expand(d) + expand(d).coefficient(d) * h(d)
+        monkeypatch.setattr(algebra, "e_basis_expand", doubled)
+        with pytest.raises(ArithmeticError, match="^diagonal entry not a unit$"):
+            e_h_matrix(2)
 
     def test_matrix_cap(self):
         with pytest.raises(CapExceeded):
-            e_h_matrix(5)
+            e_h_matrix(6)
 
 
 class TestCharacter:

@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 import parsym
-from parsym.cli import SEQUENCE_NESTING_CAP, main
+from parsym.cli import PHI_ORDER_CAP, SEQUENCE_NESTING_CAP, main
+from parsym.diagrams import parse
 from parsym.sequences import (
     boolean_transform_by_series,
     even_bell_sequence,
@@ -97,6 +98,23 @@ class TestOps:
         assert out.splitlines() == ["1,2,1',2'", "1/1'"]
         _, out, _ = run_cli(capsys, "op", "bullet-decompose", "1/2/3/1',2',3'")
         assert out.splitlines() == ["1/1'", "1/1'", "1/1'"]
+
+    def test_phi_at_order_cap(self, capsys, tmp_path):
+        # many parts cost no more than one part of the same total
+        parts = [1] * (PHI_ORDER_CAP // 2) + [PHI_ORDER_CAP // 2]
+        target = tmp_path / "composition.txt"
+        target.write_text(f"({','.join(map(str, parts))})", encoding="utf-8")
+        code, out, err = run_cli(capsys, "op", "phi", f"@{target}")
+        assert (code, err) == (0, "")
+        [line] = out.splitlines()
+        coeff, word = line.split(" ")
+        assert coeff == "1"
+        assert parse(word).order == PHI_ORDER_CAP
+
+    def test_phi_above_order_cap_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "op", "phi", f"(1,{PHI_ORDER_CAP})")
+        assert (code, out) == (2, "")
+        assert err == f"error: composition total {PHI_ORDER_CAP + 1} exceeds the cap {PHI_ORDER_CAP}\n"
 
     def test_file_input(self, capsys, tmp_path):
         target = tmp_path / "diagram.txt"

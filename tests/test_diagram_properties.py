@@ -116,6 +116,17 @@ def test_products_match_oracle(a, b):
 
 
 @PROPERTIES
+@given(st.lists(diagrams, max_size=4))
+def test_tensor_fold_matches_oracle(ds):
+    blocks, order = [], 0
+    for d in ds:
+        blocks += shifted(d.blocks, order)
+        order += d.order
+    folded = tensor_fold(ds)
+    assert (folded.order, folded.blocks) == (order, canonical(blocks))
+
+
+@PROPERTIES
 @given(diagrams)
 def test_cuts_match_oracle(d):
     assert tensor_cuts(d) == tensor_cuts_oracle(d)
