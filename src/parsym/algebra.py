@@ -2,28 +2,25 @@
 
 Basis words are partition diagrams; the product is the bilinear extension
 of horizontal concatenation, so the algebra is free on the
-tensor-irreducible diagrams.  The coproduct of an irreducible generator
-with bullet decomposition t_1 . t_2 ... t_m is the sum of the m+1
-prefix/suffix splits
+tensor-irreducible diagrams.  The maps are read off a word's bullet cuts,
+the positions c where it splits as x_c . y_c.  The coproduct of a generator
+pi is the sum of its splits H(x_c) (x) H(y_c), plus the two with an empty
+side; a word's is the product of its factors'.  ``coproduct_pairs_oracle``
+inverts the bullet product by brute force as an independent check.
 
-    sum_j  H(t_1 ... t_j) (x) H(t_{j+1} ... t_m),
-
-the j = 0 and j = m terms carrying the empty diagram; on a reducible word
-it is the product of the factors' coproducts.  A brute-force enumeration of
-all bullet splittings (``coproduct_pairs_oracle``) is kept alongside as an
-independent check of the split rule.
-
-The antipode acts on an irreducible generator by the signed sum over
-compositions of m of regrouped bullet factors, extended as an algebra
-antimorphism; Takeuchi's alternating formula is implemented separately as
-an oracle.  The elementary-like basis E differs from S only by the global
-sign (-1)^degree on generators and is extended multiplicatively.
+The antipode of a generator is the sum over the sets C of its bullet cuts
+of -(-1)^|C| H(pi with every block split at C), one term per regrouping of
+its bullet factors, extended as an antimorphism; Takeuchi's formula is an
+independent oracle.  The E-basis element E_d is the same sum over all the
+bullet cuts of the word d, signed (-1)^(factors + degree) in place of -1:
+the multiplicative extension of its value on generators.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import accumulate
 
 from . import hopfcheck
 from .diagrams import (
@@ -31,21 +28,22 @@ from .diagrams import (
     CapExceeded,
     PartitionDiagram,
     bullet,
-    bullet_decompose,
-    bullet_fold,
+    bullet_cuts,
     enumerate_diagrams,
     is_tensor_irreducible,
-    m_statistic,
     render,
     sort_key,
+    split,
+    split_blocks,
     tensor,
+    tensor_cuts,
     tensor_factorize,
 )
 from .linear import FreeHopf, LinearCombination, multiplicative
 from .sequences import compositions
 
 DEFAULT_TAKEUCHI_CAP = 4
-DEFAULT_ORACLE_CAP = 4
+DEFAULT_ORACLE_CAP = 5
 DEFAULT_MATRIX_CAP = 5
 
 
@@ -94,20 +92,17 @@ def _factors(d: PartitionDiagram) -> list[PartitionDiagram]:
     return tensor_factorize(d) if d.order else []
 
 
-@functools.lru_cache(maxsize=1 << 16)
-def _generator_split_pairs(
-    pi: PartitionDiagram,
-) -> tuple[tuple[PartitionDiagram, PartitionDiagram], ...]:
-    # prefix/suffix splits of the bullet decomposition of an irreducible word
-    factors = bullet_decompose(pi)
-    prefixes = [EMPTY_DIAGRAM]
-    for f in factors:
-        prefixes.append(bullet(prefixes[-1], f))
-    suffixes = [EMPTY_DIAGRAM]
-    for f in reversed(factors):
-        suffixes.append(bullet(f, suffixes[-1]))
-    suffixes.reverse()
-    return tuple(zip(prefixes, suffixes))
+def _factor_count(d: PartitionDiagram) -> int:
+    return len(tensor_cuts(d)) + 1 if d.order else 0
+
+
+def _generator_split_pairs(pi: PartitionDiagram) -> tuple[tuple[PartitionDiagram, ...], ...]:
+    # the splits pi = x . y, empty sides included, left to right
+    return (
+        (EMPTY_DIAGRAM, pi),
+        *(tuple(split(pi, [c])) for c in bullet_cuts(pi)),
+        (pi, EMPTY_DIAGRAM),
+    )
 
 
 @functools.lru_cache(maxsize=1 << 16)
@@ -161,31 +156,26 @@ def counit(a: ParSymElement) -> int:
     return a.coefficient(EMPTY_DIAGRAM)
 
 
-@functools.lru_cache(maxsize=1 << 16)
-def _antipode_generator(pi: PartitionDiagram, degree_sign: bool) -> ParSymElement:
-    # signed regroupings of the bullet factors; degree_sign adds (-1)^order
-    factors = bullet_decompose(pi)
-    m = len(factors)
-    terms: dict[PartitionDiagram, int] = {}
-    for alpha in compositions(m):
-        sign = -1 if len(alpha) % 2 else 1
-        if degree_sign and pi.order % 2:
-            sign = -sign
-        word = EMPTY_DIAGRAM
-        pos = 0
-        for part in alpha:
-            word = tensor(word, bullet_fold(factors[pos : pos + part]))
-            pos += part
-        terms[word] = terms.get(word, 0) + sign
+def _regroupings(d: PartitionDiagram, sign: int) -> ParSymElement:
+    # sign * (-1)^|C| * H(d split at C) over the sets C of d's bullet cuts, each
+    # picked by a composition's partial sums (so capped); distinct C, distinct words
+    cuts = bullet_cuts(d)
+    terms = {}
+    for alpha in compositions(len(cuts) + 1):
+        chosen = [cuts[i - 1] for i in accumulate(alpha[:-1])]
+        terms[split_blocks(d, chosen)] = sign * (-1) ** len(chosen)
     return ParSymElement(terms)
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def _antipode_generator(pi: PartitionDiagram) -> ParSymElement:
+    return _regroupings(pi, -1)
 
 
 @functools.lru_cache(maxsize=1 << 16)
 def _antipode_word(d: PartitionDiagram) -> ParSymElement:
     return multiplicative(
-        reversed(_factors(d)),
-        lambda pi: _antipode_generator(pi, False),
-        ParSymElement.one(),
+        reversed(_factors(d)), _antipode_generator, ParSymElement.one()
     )
 
 
@@ -208,20 +198,15 @@ def takeuchi_antipode(
 
 def e_basis_expand(d: PartitionDiagram) -> ParSymElement:
     """The elementary-like basis element indexed by d, in the H-basis."""
-    return multiplicative(
-        _factors(d), lambda pi: _antipode_generator(pi, True), ParSymElement.one()
-    )
+    return _regroupings(d, (-1) ** (_factor_count(d) + d.order))
 
 
 def character_zeta(a: ParSymElement) -> int:
     """The canonical multiplicative character: 1 on a basis word iff every
     tensor-irreducible factor is bullet-irreducible (so 1 on both order-one
     diagrams and on the empty diagram), extended linearly."""
-    return sum(
-        coeff
-        for d, coeff in a.terms.items()
-        if all(m_statistic(pi) == 1 for pi in _factors(d))
-    )
+    # a word's bullet cuts are those of its factors
+    return sum(coeff for d, coeff in a.terms.items() if not bullet_cuts(d))
 
 
 @dataclass(frozen=True)
@@ -274,9 +259,9 @@ def e_h_matrix(n: int, max_degree: int = DEFAULT_MATRIX_CAP) -> EHMatrix:
     rows = []
     det = 1
     for d in basis:
-        length = len(_factors(d))
+        length = _factor_count(d)
         terms = e_basis_expand(d).terms
-        if any(word != d and len(_factors(word)) <= length for word in terms):
+        if any(word != d and _factor_count(word) <= length for word in terms):
             raise ArithmeticError("matrix is not triangular by word length")
         if terms.get(d) not in (1, -1):
             raise ArithmeticError("diagonal entry not a unit")

@@ -16,6 +16,7 @@ from . import algebra, closures, nsym, sequences
 from .diagrams import (
     PartitionDiagram,
     bullet,
+    bullet_cuts,
     bullet_decompose,
     from_json_obj,
     is_bullet_irreducible,
@@ -205,13 +206,15 @@ def _run_op(ns) -> int:
         _require(args, 1, verb)
         _tensor_out(algebra.coproduct(algebra.h(_read_diagram(args[0]))), ns.json)
         return 0
-    if verb == "antipode":
+    if verb in ("antipode", "e-expand"):
         _require(args, 1, verb)
-        _parsym_out(algebra.antipode(algebra.h(_read_diagram(args[0]))), ns.json)
-        return 0
-    if verb == "e-expand":
-        _require(args, 1, verb)
-        _parsym_out(algebra.e_basis_expand(_read_diagram(args[0])), ns.json)
+        d = _read_diagram(args[0])
+        # both sum over the subsets of the word's bullet cuts
+        cuts, cap = len(bullet_cuts(d)), sequences.COMPOSITION_ITERATION_LIMIT - 1
+        if cuts > cap:
+            raise UsageError(f"{cuts} bullet cuts exceed the cap {cap} (2^{cuts} terms)")
+        value = algebra.antipode(algebra.h(d)) if verb == "antipode" else algebra.e_basis_expand(d)
+        _parsym_out(value, ns.json)
         return 0
     if verb == "chi":
         _require(args, 1, verb)

@@ -324,7 +324,6 @@ def tensor_fold(factors: Iterable[PartitionDiagram]) -> PartitionDiagram:
     return _diagram(_rgs(top + bottom)) if top else EMPTY_DIAGRAM
 
 
-@functools.lru_cache(maxsize=1 << 18)
 def bullet(a: PartitionDiagram, b: PartitionDiagram) -> PartitionDiagram:
     """Near-concatenation: tensor, then merge the blocks of the two
     inner-facing bottom nodes.  The empty diagram acts as identity."""
@@ -405,8 +404,9 @@ def is_tensor_irreducible(d: PartitionDiagram) -> bool:
     return not d.is_empty() and not tensor_cuts(d)
 
 
-def _segments(d: PartitionDiagram, cuts: list[int]) -> list[PartitionDiagram]:
-    # split at the cuts: columns (lo, hi] of both rows, relabelled
+def split(d: PartitionDiagram, cuts: list[int]) -> list[PartitionDiagram]:
+    """The pieces of d between increasing cut positions, each relabelled: its
+    tensor factors at its tensor cuts, its bullet factors at its bullet cuts."""
     k, labels = d.order, d.labels
     bounds = [0, *cuts, k]
     return [
@@ -415,10 +415,21 @@ def _segments(d: PartitionDiagram, cuts: list[int]) -> list[PartitionDiagram]:
     ]
 
 
+def split_blocks(d: PartitionDiagram, cuts: list[int]) -> PartitionDiagram:
+    """d with every block split at the given increasing cut positions, in
+    one pass: ``tensor_fold(split(d, cuts))``.  A slot's label moves past
+    all labels of d once for each cut before its column."""
+    k, labels = d.order, d.labels
+    shifts: list[int] = []
+    for n, (lo, hi) in enumerate(zip([0, *cuts], [*cuts, k])):
+        shifts += [n * len(labels)] * (hi - lo)
+    return _diagram(_rgs([x + s for x, s in zip(labels, shifts + shifts)]))
+
+
 # closure checks factorise each word directly and in its coproduct and antipode
 @functools.lru_cache(maxsize=1 << 16)
 def _tensor_factorize(d: PartitionDiagram) -> tuple[PartitionDiagram, ...]:
-    return tuple(_segments(d, tensor_cuts(d)))
+    return tuple(split(d, tensor_cuts(d)))
 
 
 def tensor_factorize(d: PartitionDiagram) -> list[PartitionDiagram]:
@@ -457,7 +468,7 @@ def bullet_decompose(d: PartitionDiagram) -> list[PartitionDiagram]:
     factors; its length is the statistic m(d)."""
     if d.is_empty():
         raise ValueError("the empty diagram has no bullet decomposition")
-    return _segments(d, bullet_cuts(d))
+    return split(d, bullet_cuts(d))
 
 
 def m_statistic(d: PartitionDiagram) -> int:

@@ -25,6 +25,8 @@ from parsym import algebra, hopfcheck
 from parsym.diagrams import (
     EMPTY_DIAGRAM,
     CapExceeded,
+    PartitionDiagram,
+    bullet,
     enumerate_diagrams,
     identity_diagram,
     is_tensor_irreducible,
@@ -109,6 +111,27 @@ class TestCoproduct:
             if is_tensor_irreducible(d):
                 assert coproduct_pairs(d) == coproduct_pairs_oracle(d)
 
+    def test_split_pairs_match_oracle_order_five_sample(self):
+        # random generators, most with no bullet cut, and bullet products
+        # of random generators of complementary orders, which have one
+        rng = random.Random(5)
+        irreducible = {
+            k: [d for d in all_diagrams(k) if is_tensor_irreducible(d)] for k in range(1, 5)
+        }
+        sample = []
+        while len(sample) < 200:
+            blocks = {}
+            for v in (*range(1, 6), *range(-1, -6, -1)):
+                blocks.setdefault(rng.randrange(10), []).append(v)
+            d = PartitionDiagram(5, blocks.values())
+            if is_tensor_irreducible(d):
+                sample.append(d)
+        for _ in range(200):
+            i = rng.randint(1, 4)
+            sample.append(bullet(rng.choice(irreducible[i]), rng.choice(irreducible[5 - i])))
+        for d in sample:
+            assert coproduct_pairs(d) == coproduct_pairs_oracle(d)
+
     def test_oracle_examples(self):
         assert coproduct_pairs_oracle(SINGLETONS) == [
             (EMPTY_DIAGRAM, SINGLETONS),
@@ -121,6 +144,8 @@ class TestCoproduct:
     def test_oracle_cap(self):
         with pytest.raises(CapExceeded):
             coproduct_pairs_oracle(D4, max_order=3)
+        with pytest.raises(CapExceeded):
+            coproduct_pairs_oracle(parse("1,2,3,4,5,6,1',2',3',4',5',6'"))
 
     def test_oracle_rejects_reducible(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ import pytest
 
 import parsym
 from parsym.cli import PHI_ORDER_CAP, SEQUENCE_NESTING_CAP, main
-from parsym.diagrams import parse
+from parsym.diagrams import PartitionDiagram, parse, render
 from parsym.sequences import (
     boolean_transform_by_series,
     even_bell_sequence,
@@ -115,6 +115,14 @@ class TestOps:
         code, out, err = run_cli(capsys, "op", "phi", f"(1,{PHI_ORDER_CAP})")
         assert (code, out) == (2, "")
         assert err == f"error: composition total {PHI_ORDER_CAP + 1} exceeds the cap {PHI_ORDER_CAP}\n"
+
+    @pytest.mark.parametrize("verb", ["antipode", "e-expand"])
+    def test_regrouping_above_bullet_cut_cap_is_usage_error(self, capsys, verb):
+        # two one-block factors of 11 columns: 20 bullet cuts, 2^20 terms
+        blocks = [[*range(1, 12), *range(-11, 0)], [*range(12, 23), *range(-22, -11)]]
+        code, out, err = run_cli(capsys, "op", verb, render(PartitionDiagram(22, blocks)))
+        assert (code, out) == (2, "")
+        assert err == "error: 20 bullet cuts exceed the cap 19 (2^20 terms)\n"
 
     def test_file_input(self, capsys, tmp_path):
         target = tmp_path / "diagram.txt"

@@ -17,6 +17,8 @@ from parsym.diagrams import (
     from_json_obj,
     parse,
     render,
+    split,
+    split_blocks,
     tensor,
     tensor_cuts,
     tensor_factorize,
@@ -151,3 +153,12 @@ def test_mixed_identity(a, b, c):
 def test_factorisation_round_trips(d):
     assert tensor_fold(tensor_factorize(d)) == d
     assert bullet_fold(bullet_decompose(d)) == d
+
+
+@PROPERTIES
+@given(diagrams, st.data())
+def test_split_blocks_is_folded_split(d, data):
+    positions = max(d.order - 1, 0)
+    mask = data.draw(st.lists(st.booleans(), min_size=positions, max_size=positions))
+    cuts = [i for i, chosen in enumerate(mask, 1) if chosen]
+    assert split_blocks(d, cuts) == tensor_fold(split(d, cuts))
