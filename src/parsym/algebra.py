@@ -14,6 +14,10 @@ its bullet factors, extended as an antimorphism; Takeuchi's formula is an
 independent oracle.  The E-basis element E_d is the same sum over all the
 bullet cuts of the word d, signed (-1)^(factors + degree) in place of -1:
 the multiplicative extension of its value on generators.
+
+This module supplies only the generator data; ``FreeHopf.on_generators``
+builds the cached word maps of ``PARSYM``, whose methods are ``coproduct``,
+``antipode`` and ``counit``.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from .diagrams import (
     tensor_cuts,
     tensor_factorize,
 )
-from .linear import FreeHopf, LinearCombination, multiplicative
+from .linear import FreeHopf, LinearCombination, TensorSquare
 from .sequences import compositions
 
 DEFAULT_TAKEUCHI_CAP = 4
@@ -51,31 +55,11 @@ class ParSymElement(LinearCombination):
     """Integer linear combination of diagram basis words."""
 
     _mul_key = staticmethod(tensor)
-
-    @classmethod
-    def one(cls) -> "ParSymElement":
-        return cls.basis(EMPTY_DIAGRAM)
-
-    def degrees(self) -> set[int]:
-        return {d.order for d in self.terms}
-
-    def homogeneous_degree(self) -> int:
-        degrees = self.degrees()
-        if len(degrees) > 1:
-            raise ValueError(f"element is not homogeneous: degrees {sorted(degrees)}")
-        return degrees.pop() if degrees else 0
+    unit = EMPTY_DIAGRAM
 
 
-class DiagramTensor(LinearCombination):
-    """Integer linear combination of ordered pairs of diagrams."""
-
-    @staticmethod
-    def _mul_key(left, right):
-        return (tensor(left[0], right[0]), tensor(left[1], right[1]))
-
-    @classmethod
-    def one(cls) -> "DiagramTensor":
-        return cls.basis((EMPTY_DIAGRAM, EMPTY_DIAGRAM))
+class DiagramTensor(TensorSquare):
+    factor = ParSymElement
 
 
 def h(d: PartitionDiagram) -> ParSymElement:
@@ -103,19 +87,6 @@ def _generator_split_pairs(pi: PartitionDiagram) -> tuple[tuple[PartitionDiagram
         *(tuple(split(pi, [c])) for c in bullet_cuts(pi)),
         (pi, EMPTY_DIAGRAM),
     )
-
-
-@functools.lru_cache(maxsize=1 << 16)
-def _coproduct_word(d: PartitionDiagram) -> DiagramTensor:
-    return multiplicative(
-        _factors(d),
-        lambda pi: DiagramTensor(dict.fromkeys(_generator_split_pairs(pi), 1)),
-        DiagramTensor.one(),
-    )
-
-
-def coproduct(a: ParSymElement) -> DiagramTensor:
-    return a.extend(_coproduct_word, DiagramTensor)
 
 
 def coproduct_pairs(pi: PartitionDiagram) -> list[tuple[PartitionDiagram, PartitionDiagram]]:
@@ -152,10 +123,6 @@ def coproduct_pairs_oracle(
     return sorted(found, key=lambda p: (sort_key(p[0]), sort_key(p[1])))
 
 
-def counit(a: ParSymElement) -> int:
-    return a.coefficient(EMPTY_DIAGRAM)
-
-
 def _regroupings(d: PartitionDiagram, sign: int) -> ParSymElement:
     # sign * (-1)^|C| * H(d split at C) over the sets C of d's bullet cuts, each
     # picked by a composition's partial sums (so capped); distinct C, distinct words
@@ -172,17 +139,18 @@ def _antipode_generator(pi: PartitionDiagram) -> ParSymElement:
     return _regroupings(pi, -1)
 
 
-@functools.lru_cache(maxsize=1 << 16)
-def _antipode_word(d: PartitionDiagram) -> ParSymElement:
-    return multiplicative(
-        reversed(_factors(d)), _antipode_generator, ParSymElement.one()
-    )
-
-
-def antipode(a: ParSymElement) -> ParSymElement:
-    """Closed-form antipode: antimorphism extension of the signed
-    regrouping sum on irreducible generators."""
-    return a.extend(_antipode_word)
+PARSYM = FreeHopf.on_generators(
+    _factors,
+    lambda pi: DiagramTensor(dict.fromkeys(_generator_split_pairs(pi), 1)),
+    _antipode_generator,
+    name="parsym",
+    element=ParSymElement,
+    tensor=DiagramTensor,
+    degree=lambda d: d.order,
+    basis=enumerate_diagrams,
+    render=render,
+)
+coproduct, antipode, counit = PARSYM.coproduct, PARSYM.antipode, PARSYM.counit
 
 
 def takeuchi_antipode(
@@ -190,7 +158,7 @@ def takeuchi_antipode(
 ) -> ParSymElement:
     """Antipode by Takeuchi's alternating sum; independent oracle for
     :func:`antipode`.  Requires a homogeneous element within the cap."""
-    degree = a.homogeneous_degree()
+    degree = PARSYM.homogeneous_degree(a)
     if degree > max_degree:
         raise CapExceeded(f"Takeuchi evaluation capped at degree {max_degree}")
     return hopfcheck.takeuchi(PARSYM, a, degree)
@@ -268,18 +236,6 @@ def e_h_matrix(n: int, max_degree: int = DEFAULT_MATRIX_CAP) -> EHMatrix:
         det *= terms[d]
         rows.append(tuple(sorted((index[word], c) for word, c in terms.items())))
     return EHMatrix(n, basis, tuple(rows), det)
-
-
-PARSYM = FreeHopf(
-    name="parsym",
-    element=ParSymElement,
-    tensor=DiagramTensor,
-    degree=lambda d: d.order,
-    coproduct_word=_coproduct_word,
-    antipode_word=_antipode_word,
-    basis=enumerate_diagrams,
-    render=render,
-)
 
 
 def verify_hopf_axioms(max_degree: int, seed: int = 20240) -> "hopfcheck.AxiomReport":

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
 from . import algebra, closures, nsym, sequences
@@ -25,7 +27,6 @@ from .diagrams import (
     parse,
     propagation_number,
     render,
-    sort_key,
     tensor,
     tensor_factorize,
     to_json_obj,
@@ -86,7 +87,7 @@ def _read_diagram(arg: str) -> PartitionDiagram:
     return parse(text)
 
 
-def _emit(lines: list[str]) -> None:
+def _emit(lines: Iterable[str]) -> None:
     for line in lines:
         print(line)
 
@@ -105,31 +106,23 @@ def _diagram_list_out(ds: list[PartitionDiagram], as_json: bool) -> None:
         _emit([render(d) for d in ds])
 
 
-def _parsym_items(el: algebra.ParSymElement):
-    return sorted(el.terms.items(), key=lambda item: sort_key(item[0]))
-
-
 def _parsym_out(el: algebra.ParSymElement, as_json: bool) -> None:
-    items = _parsym_items(el)
+    # each word rendered once; (order, text) is diagrams.sort_key
+    items = sorted((d.order, render(d), c) for d, c in el.terms.items())
     if as_json:
-        print(json.dumps({render(d): str(c) for d, c in items}))
+        print(json.dumps({text: str(c) for _, text, c in items}))
     else:
-        _emit([f"{c} {render(d)}" for d, c in items])
+        _emit(f"{c} {text}" for _, text, c in items)
 
 
 def _tensor_out(el: algebra.DiagramTensor, as_json: bool) -> None:
     items = sorted(
-        el.terms.items(),
-        key=lambda item: (sort_key(item[0][0]), sort_key(item[0][1])),
+        (l.order, render(l), r.order, render(r), c) for (l, r), c in el.terms.items()
     )
     if as_json:
-        print(
-            json.dumps(
-                {f"{render(l)}⦿{render(r)}": str(c) for (l, r), c in items}
-            )
-        )
+        print(json.dumps({f"{lt}⦿{rt}": str(c) for _, lt, _, rt, c in items}))
     else:
-        _emit([f"{c} {render(l)}|x|{render(r)}" for (l, r), c in items])
+        _emit(f"{c} {lt}|x|{rt}" for _, lt, _, rt, c in items)
 
 
 def _nsym_items(el: nsym.NSymElement):
@@ -202,15 +195,19 @@ def _run_op(ns) -> int:
         }[verb](d)
         print(json.dumps(value) if ns.json else value)
         return 0
-    if verb == "coproduct":
-        _require(args, 1, verb)
-        _tensor_out(algebra.coproduct(algebra.h(_read_diagram(args[0]))), ns.json)
-        return 0
-    if verb in ("antipode", "e-expand"):
+    if verb in ("coproduct", "antipode", "e-expand"):
         _require(args, 1, verb)
         d = _read_diagram(args[0])
+        cap = sequences.COMPOSITION_ITERATION_LIMIT - 1
+        if verb == "coproduct":
+            # a tensor factor f splits in m(f) + 1 ways, empty sides included
+            choices = math.prod(m_statistic(f) + 1 for f in algebra._factors(d))
+            if choices > 2**cap:
+                raise UsageError(f"{choices} coproduct cut choices exceed the cap 2^{cap}")
+            _tensor_out(algebra.coproduct(algebra.h(d)), ns.json)
+            return 0
         # both sum over the subsets of the word's bullet cuts
-        cuts, cap = len(bullet_cuts(d)), sequences.COMPOSITION_ITERATION_LIMIT - 1
+        cuts = len(bullet_cuts(d))
         if cuts > cap:
             raise UsageError(f"{cuts} bullet cuts exceed the cap {cap} (2^{cuts} terms)")
         value = algebra.antipode(algebra.h(d)) if verb == "antipode" else algebra.e_basis_expand(d)

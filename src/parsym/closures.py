@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import _antipode_word, _coproduct_word
+from .algebra import PARSYM
 from .diagrams import (
     CapExceeded,
     PartitionDiagram,
@@ -94,12 +94,12 @@ def closure_report(family: Family, max_degree: int) -> ClosureReport:
                 counterexample = counterexample or (d, "tensor")
             if delta_ok and not all(
                 family_member(left, family) and family_member(right, family)
-                for left, right in _coproduct_word(d).terms
+                for left, right in PARSYM.coproduct_word(d).terms
             ):
                 delta_ok = False
                 counterexample = counterexample or (d, "coproduct")
             if antipode_ok and not all(
-                family_member(word, family) for word in _antipode_word(d).terms
+                family_member(word, family) for word in PARSYM.antipode_word(d).terms
             ):
                 antipode_ok = False
                 counterexample = counterexample or (d, "antipode")

@@ -15,7 +15,6 @@ for the closed-form antipode.
 from __future__ import annotations
 
 import functools
-import itertools
 import random
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -105,7 +104,8 @@ def _describe(hopf: FreeHopf, a: LinearCombination) -> str:
 def verify_axioms(hopf: FreeHopf, max_degree: int, seed: int = 20240) -> AxiomReport:
     """Check coassociativity, the counit laws, product compatibility, both
     antipode composites, the antimorphism law and agreement with Takeuchi,
-    over every basis element up to max_degree plus seeded random elements."""
+    over every basis element up to max_degree plus seeded random elements.
+    Each axiom reports the first witness (an element or a pair) it fails on."""
     rng = random.Random(seed)
     element, mul = hopf.element, hopf.element._mul_key
     levels = {n: list(hopf.basis(n)) for n in range(max_degree + 1)}
@@ -117,19 +117,18 @@ def verify_axioms(hopf: FreeHopf, max_degree: int, seed: int = 20240) -> AxiomRe
             degrees = [rng.randint(0, max_degree) for _ in range(3)]
         return element((rng.choice(levels[n]), rng.randint(-3, 3)) for n in degrees)
 
-    singletons = [
-        element.basis(key) for n in range(max_degree + 1) for key in levels[n]
-    ]
+    singletons = [element.basis(key) for n in range(max_degree + 1) for key in levels[n]]
     mixed = [random_element(homogeneous=False) for _ in range(10)]
     homogeneous = [random_element(homogeneous=True) for _ in range(10)]
-    results = []
+    pool = singletons + mixed
 
-    def record(name: str, failure: str | None) -> None:
-        results.append(AxiomResult(name, failure is None, failure))
+    def random_pairs() -> Iterator[tuple]:
+        # drawn lazily, so the pairs an axiom skips after a failure go to the next
+        for _ in range(60):
+            yield rng.choice(pool), rng.choice(pool)
 
-    # coassociativity: (id x Delta) Delta = (Delta x id) Delta
-    failure = None
-    for a in itertools.chain(singletons, mixed):
+    def coassociative(a) -> bool:
+        # (id x Delta) Delta = (Delta x id) Delta
         pairs = hopf.coproduct(a).terms.items()
         left = LinearCombination(
             ((u, v, y), coeff * c)
@@ -141,70 +140,54 @@ def verify_axioms(hopf: FreeHopf, max_degree: int, seed: int = 20240) -> AxiomRe
             for (x, y), coeff in pairs
             for (u, v), c in hopf.coproduct_word(y).terms.items()
         )
-        if left != right:
-            failure = f"at {_describe(hopf, a)}"
-            break
-    record("coassociativity", failure)
+        return left == right
 
-    # counit laws: (eps x id) Delta = id = (id x eps) Delta
-    failure = None
-    for a in itertools.chain(singletons, mixed):
+    def counital(a) -> bool:
+        # (eps x id) Delta = id = (id x eps) Delta
         pairs = hopf.coproduct(a).terms.items()
         left = element((y, coeff) for (x, y), coeff in pairs if hopf.degree(x) == 0)
         right = element((x, coeff) for (x, y), coeff in pairs if hopf.degree(y) == 0)
-        if left != a or right != a:
-            failure = f"at {_describe(hopf, a)}"
-            break
-    record("counit", failure)
+        return left == a == right
 
-    # compatibility: Delta(ab) = Delta(a) Delta(b)
-    failure = None
-    pool = singletons + mixed
-    for _ in range(60):
-        a, b = rng.choice(pool), rng.choice(pool)
-        if hopf.coproduct(a * b) != hopf.coproduct(a) * hopf.coproduct(b):
-            failure = f"at {_describe(hopf, a)} ; {_describe(hopf, b)}"
-            break
-    record("compatibility", failure)
+    def antipode_left(a) -> bool:
+        # mul (S x id) Delta = unit eps
+        return element(
+            (mul(k, y), coeff * c)
+            for (x, y), coeff in hopf.coproduct(a).terms.items()
+            for k, c in hopf.antipode_word(x).terms.items()
+        ) == _degree_zero(hopf, a)
 
-    # antipode composites: mul (S x id) Delta = unit eps = mul (id x S) Delta
-    for name, side in (("antipode-left", 0), ("antipode-right", 1)):
-        failure = None
-        for a in itertools.chain(singletons, mixed):
-            pairs = hopf.coproduct(a).terms.items()
-            if side == 0:
-                composite = element(
-                    (mul(k, y), coeff * c)
-                    for (x, y), coeff in pairs
-                    for k, c in hopf.antipode_word(x).terms.items()
-                )
-            else:
-                composite = element(
-                    (mul(x, k), coeff * c)
-                    for (x, y), coeff in pairs
-                    for k, c in hopf.antipode_word(y).terms.items()
-                )
-            if composite != _degree_zero(hopf, a):
-                failure = f"at {_describe(hopf, a)}"
-                break
-        record(name, failure)
+    def antipode_right(a) -> bool:
+        # mul (id x S) Delta = unit eps
+        return element(
+            (mul(x, k), coeff * c)
+            for (x, y), coeff in hopf.coproduct(a).terms.items()
+            for k, c in hopf.antipode_word(y).terms.items()
+        ) == _degree_zero(hopf, a)
 
-    # antimorphism: S(ab) = S(b) S(a)
-    failure = None
-    for _ in range(60):
-        a, b = rng.choice(pool), rng.choice(pool)
-        if hopf.antipode(a * b) != hopf.antipode(b) * hopf.antipode(a):
-            failure = f"at {_describe(hopf, a)} ; {_describe(hopf, b)}"
-            break
-    record("antihomomorphism", failure)
+    def compatible(a, b) -> bool:
+        return hopf.coproduct(a * b) == hopf.coproduct(a) * hopf.coproduct(b)
 
-    # closed form S agrees with Takeuchi's formula
-    failure = None
-    for a in itertools.chain(singletons, homogeneous):
+    def antimorphic(a, b) -> bool:
+        return hopf.antipode(a * b) == hopf.antipode(b) * hopf.antipode(a)
+
+    def agrees_with_takeuchi(a) -> bool:
         degree = max((hopf.degree(k) for k in a.terms), default=0)
-        if takeuchi(hopf, a, degree) != hopf.antipode(a):
-            failure = f"at {_describe(hopf, a)}"
-            break
-    record("takeuchi", failure)
+        return takeuchi(hopf, a, degree) == hopf.antipode(a)
 
+    # witnesses are argument tuples, made lazily: zip(xs) yields (x,) per x
+    table = (
+        ("coassociativity", zip(pool), coassociative),
+        ("counit", zip(pool), counital),
+        ("compatibility", random_pairs(), compatible),
+        ("antipode-left", zip(pool), antipode_left),
+        ("antipode-right", zip(pool), antipode_right),
+        ("antihomomorphism", random_pairs(), antimorphic),
+        ("takeuchi", zip(singletons + homogeneous), agrees_with_takeuchi),
+    )
+    results = []
+    for name, witnesses, holds in table:
+        bad = next((w for w in witnesses if not holds(*w)), None)
+        text = None if bad is None else "at " + " ; ".join(_describe(hopf, a) for a in bad)
+        results.append(AxiomResult(name, bad is None, text))
     return AxiomReport(hopf.name, max_degree, tuple(results))

@@ -2,17 +2,21 @@
 shared by the diagram algebra and NSym.
 
 An element is a finite map key -> nonzero int.  Subclasses fix the basis
-product through ``_mul_key`` (all products here send basis elements to
-single basis elements, so no signs or expansions appear at this level).
-Instances are treated as immutable: operations always build fresh dicts.
+product through ``_mul_key`` and its identity word ``unit`` (all products
+here send basis elements to single basis elements, so no signs or expansions
+appear at this level); a :class:`TensorSquare` multiplies pairs of words
+componentwise.  Instances are treated as immutable: operations always build
+fresh dicts.
 
 Both Hopf algebras are free, so Delta and S of a word are the product, or the
-reversed product, of their values on its generators (:func:`multiplicative`);
-maps on elements are linear extensions (:meth:`LinearCombination.extend`).
+reversed product, of their values on its generators (:func:`multiplicative`),
+cached by word in :meth:`FreeHopf.on_generators`; maps on elements are linear
+extensions (:meth:`LinearCombination.extend`).
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable, Iterable, Mapping
 from typing import NamedTuple
 
@@ -21,6 +25,7 @@ class LinearCombination:
     __slots__ = ("terms",)
 
     terms: dict
+    unit: object
 
     def __init__(self, terms: Mapping | Iterable = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -40,6 +45,11 @@ class LinearCombination:
     @classmethod
     def zero(cls):
         return cls()
+
+    @classmethod
+    def one(cls):
+        """The empty word, the unit of the product."""
+        return cls.basis(cls.unit)
 
     @classmethod
     def basis(cls, key, coeff: int = 1):
@@ -87,9 +97,10 @@ class LinearCombination:
         if type(other) is not type(self):
             return NotImplemented
         data: dict = {}
+        mul = self._mul_key
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
-                key = self._mul_key(k1, k2)
+                key = mul(k1, k2)
                 value = data.get(key, 0) + c1 * c2
                 if value:
                     data[key] = value
@@ -114,6 +125,21 @@ class LinearCombination:
     def __repr__(self) -> str:
         name = type(self).__name__
         return f"{name}({self.terms!r})"
+
+
+class TensorSquare(LinearCombination):
+    """Pairs of words of ``factor``, multiplied componentwise."""
+
+    factor: type
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.unit = (cls.factor.unit, cls.factor.unit)
+
+    @classmethod
+    def _mul_key(cls, left, right):
+        mul = cls.factor._mul_key
+        return (mul(left[0], right[0]), mul(left[1], right[1]))
 
 
 def multiplicative(factors: Iterable, value: Callable, one: LinearCombination):
@@ -143,3 +169,30 @@ class FreeHopf(NamedTuple):
 
     def antipode(self, a: LinearCombination) -> LinearCombination:
         return a.extend(self.antipode_word)
+
+    def counit(self, a: LinearCombination) -> int:
+        return a.coefficient(self.element.unit)
+
+    def homogeneous_degree(self, a: LinearCombination) -> int:
+        """The common degree of a's terms (0 for zero); ValueError if mixed."""
+        degrees = {self.degree(key) for key in a.terms}
+        if len(degrees) > 1:
+            raise ValueError(f"element is not homogeneous: degrees {sorted(degrees)}")
+        return degrees.pop() if degrees else 0
+
+    @classmethod
+    def on_generators(cls, factors, coproduct_generator, antipode_generator, **fields):
+        """The algebra free on the generators that ``factors`` splits a word
+        into: Delta of a word is the product of its generators' coproducts,
+        S the reversed product of their antipodes, each cached by word."""
+        element, tensor = fields["element"], fields["tensor"]
+
+        @functools.lru_cache(maxsize=1 << 16)
+        def coproduct_word(word):
+            return multiplicative(factors(word), coproduct_generator, tensor.one())
+
+        @functools.lru_cache(maxsize=1 << 16)
+        def antipode_word(word):
+            return multiplicative(reversed(factors(word)), antipode_generator, element.one())
+
+        return cls(coproduct_word=coproduct_word, antipode_word=antipode_word, **fields)

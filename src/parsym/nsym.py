@@ -4,8 +4,10 @@ morphisms tying it to the partition-diagram algebra.
 Basis words are integer compositions (tuples of positive ints); the product
 concatenates, Delta on a one-part generator is the full binomial-style sum
 H_i (x) H_{n-i}, and the antipode sends H_n to the signed sum over all
-compositions of n.  The elementary generators E_n are implemented both by
-their recursion and by the closed signed-sum formula.
+compositions of n; ``FreeHopf.on_generators`` extends both to words, and
+``nsym_coproduct``, ``nsym_antipode`` and ``nsym_counit`` are ``NSYM``'s
+methods.  The elementary generators E_n are implemented both by their
+recursion and by the closed signed-sum formula.
 
 Bridges:
 
@@ -24,9 +26,9 @@ import itertools
 import re
 
 from . import hopfcheck
-from .algebra import ParSymElement, _factors, h
+from .algebra import PARSYM, ParSymElement, _factors, h
 from .diagrams import CapExceeded, PartitionDiagram, m_statistic, tensor_fold
-from .linear import FreeHopf, LinearCombination, multiplicative
+from .linear import FreeHopf, LinearCombination, TensorSquare
 from .sequences import compositions
 
 Composition = tuple[int, ...]
@@ -56,32 +58,15 @@ def render_composition(alpha: Composition) -> str:
 class NSymElement(LinearCombination):
     """Integer linear combination of composition-indexed basis words."""
 
+    unit = ()
+
     @staticmethod
     def _mul_key(a: Composition, b: Composition) -> Composition:
         return a + b
 
-    @classmethod
-    def one(cls) -> "NSymElement":
-        return cls.basis(())
 
-    def weights(self) -> set[int]:
-        return {sum(alpha) for alpha in self.terms}
-
-    def homogeneous_weight(self) -> int:
-        weights = self.weights()
-        if len(weights) > 1:
-            raise ValueError(f"element is not homogeneous: weights {sorted(weights)}")
-        return weights.pop() if weights else 0
-
-
-class NSymTensor(LinearCombination):
-    @staticmethod
-    def _mul_key(left, right):
-        return (left[0] + right[0], left[1] + right[1])
-
-    @classmethod
-    def one(cls) -> "NSymTensor":
-        return cls.basis(((), ()))
+class NSymTensor(TensorSquare):
+    factor = NSymElement
 
 
 class QSymImage(LinearCombination):
@@ -96,23 +81,10 @@ def nsym_multiply(a: NSymElement, b: NSymElement) -> NSymElement:
     return a * b
 
 
-@functools.lru_cache(maxsize=None)
-def _coproduct_word(alpha: Composition) -> NSymTensor:
-    return multiplicative(alpha, _coproduct_generator, NSymTensor.one())
-
-
 def _coproduct_generator(n: int) -> NSymTensor:
     return NSymTensor(
         {(((i,) if i else ()), ((n - i,) if n - i else ())): 1 for i in range(n + 1)}
     )
-
-
-def nsym_coproduct(a: NSymElement) -> NSymTensor:
-    return a.extend(_coproduct_word, NSymTensor)
-
-
-def nsym_counit(a: NSymElement) -> int:
-    return a.coefficient(())
 
 
 @functools.lru_cache(maxsize=None)
@@ -120,13 +92,18 @@ def _antipode_generator(n: int) -> NSymElement:
     return NSymElement({alpha: -1 if len(alpha) % 2 else 1 for alpha in compositions(n)})
 
 
-@functools.lru_cache(maxsize=None)
-def _antipode_word(alpha: Composition) -> NSymElement:
-    return multiplicative(reversed(alpha), _antipode_generator, NSymElement.one())
-
-
-def nsym_antipode(a: NSymElement) -> NSymElement:
-    return a.extend(_antipode_word)
+NSYM = FreeHopf.on_generators(
+    tuple,
+    _coproduct_generator,
+    _antipode_generator,
+    name="nsym",
+    element=NSymElement,
+    tensor=NSymTensor,
+    degree=sum,
+    basis=compositions,
+    render=lambda alpha: "H" + render_composition(alpha),
+)
+nsym_coproduct, nsym_antipode, nsym_counit = NSYM.coproduct, NSYM.antipode, NSYM.counit
 
 
 def nsym_e(n: int) -> NSymElement:
@@ -215,26 +192,14 @@ def qsym_image(
     monomial-basis coefficients.  Diagram elements are first projected by
     ``chi``; the input must be homogeneous and within the degree cap."""
     if isinstance(a, ParSymElement):
-        degree, b = a.homogeneous_degree(), chi(a)
+        degree, b = PARSYM.homogeneous_degree(a), chi(a)
     elif isinstance(a, NSymElement):
-        degree, b = a.homogeneous_weight(), a
+        degree, b = NSYM.homogeneous_degree(a), a
     else:
         raise TypeError("expected a ParSym or NSym element")
     if degree > max_degree:
         raise CapExceeded(f"qsym image capped at degree {max_degree}")
     return b.extend(_qsym_word, QSymImage)
-
-
-NSYM = FreeHopf(
-    name="nsym",
-    element=NSymElement,
-    tensor=NSymTensor,
-    degree=sum,
-    coproduct_word=_coproduct_word,
-    antipode_word=_antipode_word,
-    basis=compositions,
-    render=lambda alpha: "H" + render_composition(alpha),
-)
 
 
 def verify_nsym_hopf_axioms(max_degree: int, seed: int = 20241) -> "hopfcheck.AxiomReport":

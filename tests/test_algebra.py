@@ -337,7 +337,68 @@ def _corrupted(victim):
     return PARSYM._replace(name="parsym-corrupted", coproduct_word=coproduct_word)
 
 
+def _corrupted_antipode(victim):
+    """PARSYM with H(victim) added to the antipode of one word."""
+
+    def antipode_word(key):
+        image = PARSYM.antipode_word(key)
+        return image + h(key) if key == victim else image
+
+    return PARSYM._replace(name="parsym-corrupted", antipode_word=antipode_word)
+
+
+ALL_PASS = [
+    "coassociativity: PASS",
+    "counit: PASS",
+    "compatibility: PASS",
+    "antipode-left: PASS",
+    "antipode-right: PASS",
+    "antihomomorphism: PASS",
+    "takeuchi: PASS",
+]
+
+
 class TestAxiomHarness:
+    @pytest.mark.parametrize("degree", range(4))
+    def test_report_lines(self, degree):
+        assert verify_hopf_axioms(degree).lines() == ALL_PASS
+
+    def test_corrupted_coproduct_report_lines(self):
+        report = hopfcheck.verify_axioms(_corrupted(parse("1,1',2'/2")), 2, seed=5)
+        assert report.lines() == [
+            "coassociativity: PASS",
+            "counit: PASS",
+            "compatibility: FAIL (at 3*1,1' + 3*1,1',2'/2 + 3*1,1'/2/2' ; 1*1,2,1'/2')",
+            "antipode-left: FAIL (at 1*1,1',2'/2)",
+            "antipode-right: FAIL (at 1*1,1',2'/2)",
+            "antihomomorphism: PASS",
+            "takeuchi: FAIL (at 1*1,1',2'/2)",
+        ]
+
+    def test_corrupted_coproduct_report_lines_degree_three(self):
+        report = hopfcheck.verify_axioms(_corrupted(parse("1,1',2'/2")), 3, seed=5)
+        assert report.lines() == [
+            "coassociativity: FAIL (at 1*1,2,1',2',3'/3)",
+            "counit: PASS",
+            "compatibility: FAIL (at 1*1,3'/2,1'/3,2' ; 1*1,1',2'/2)",
+            "antipode-left: FAIL (at 1*1,1',2'/2)",
+            "antipode-right: FAIL (at 1*1,1',2'/2)",
+            "antihomomorphism: PASS",
+            "takeuchi: FAIL (at 1*1,1',2'/2)",
+        ]
+
+    def test_corrupted_antipode_report_lines(self):
+        report = hopfcheck.verify_axioms(_corrupted_antipode(ID1), 2, seed=5)
+        assert report.lines() == [
+            "coassociativity: PASS",
+            "counit: PASS",
+            "compatibility: PASS",
+            "antipode-left: FAIL (at 1*1,1')",
+            "antipode-right: FAIL (at 1*1,1')",
+            "antihomomorphism: FAIL (at -2*1,2'/2/1' + -2*1,2/1',2' ; -5*() + 1*1,1')",
+            "takeuchi: FAIL (at 1*1,1')",
+        ]
+
     def test_degree_two_all_pass(self):
         report = verify_hopf_axioms(2)
         assert report.all_passed

@@ -15,7 +15,14 @@ from test_diagram_properties import partitions
 from test_families import member_products
 
 from parsym import algebra
-from parsym.algebra import ParSymElement, antipode, coproduct, e_basis_expand, h
+from parsym.algebra import (
+    ParSymElement,
+    antipode,
+    coproduct,
+    e_basis_expand,
+    h,
+    takeuchi_antipode,
+)
 from parsym.diagrams import (
     EMPTY_DIAGRAM,
     PartitionDiagram,
@@ -93,3 +100,11 @@ def test_antipode_composites(d):
         left = left + coeff * (antipode(h(x)) * h(y))
         right = right + coeff * (h(x) * antipode(h(y)))
     assert left == unit == right
+
+
+@settings(PROPERTIES, max_examples=50)
+@given(words.filter(lambda d: 5 <= d.order <= 6))
+def test_takeuchi_beyond_harness_cap(d):
+    # the axiom harness stops at degree 4; single words of degree 5-6 cost at
+    # most some 30 ms, most of this test's time goes to drawing them
+    assert takeuchi_antipode(h(d), max_degree=6) == antipode(h(d))

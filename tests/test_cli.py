@@ -8,7 +8,7 @@ import pytest
 
 import parsym
 from parsym.cli import PHI_ORDER_CAP, SEQUENCE_NESTING_CAP, main
-from parsym.diagrams import PartitionDiagram, parse, render
+from parsym.diagrams import PartitionDiagram, parse, render, tensor_fold
 from parsym.sequences import (
     boolean_transform_by_series,
     even_bell_sequence,
@@ -124,6 +124,13 @@ class TestOps:
         assert (code, out) == (2, "")
         assert err == "error: 20 bullet cuts exceed the cap 19 (2^20 terms)\n"
 
+    def test_coproduct_above_cut_choice_cap_is_usage_error(self, capsys):
+        # 20 order-1 factors, each with two splits: 2^20 cut choices
+        word = tensor_fold([parse("1,1'"), parse("1/1'")] * 10)
+        code, out, err = run_cli(capsys, "op", "coproduct", render(word))
+        assert (code, out) == (2, "")
+        assert err == "error: 1048576 coproduct cut choices exceed the cap 2^19\n"
+
     def test_file_input(self, capsys, tmp_path):
         target = tmp_path / "diagram.txt"
         target.write_text("1,1'\n", encoding="utf-8")
@@ -152,10 +159,15 @@ class TestOps:
             '{"order":1,"blocks":[[],[1,-1]]}',
             '{"order":0,"blocks":[[]]}',
             '{"order":' + "[" * 200_000,
+            "@TMP/missing.txt",
+            "@TMP",
+            "@TMP/bom.txt",
         ],
     )
-    def test_malformed_json_diagram_is_usage_error(self, capsys, text):
-        code, out, err = run_cli(capsys, "op", "render", text)
+    def test_malformed_json_diagram_is_usage_error(self, capsys, tmp_path, text):
+        # @TMP names tmp_path, which holds bom.txt, two bytes that are not UTF-8
+        (tmp_path / "bom.txt").write_bytes(b"\xff\xfe")
+        code, out, err = run_cli(capsys, "op", "render", text.replace("TMP", str(tmp_path)))
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 
@@ -314,6 +326,11 @@ class TestSizes:
             "verify closure --max-degree -1",
             "verify hopf --max-degree 0",
             "verify hopf --max-degree -1",
+            "count --order -1",
+            "enumerate --order -1",
+            "hist m --order -1",
+            "op phi (1,,2)",
+            "op phi (1",
         ],
     )
     def test_nonpositive_size_is_usage_error(self, capsys, argv):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from parsym import hopfcheck
 from parsym.algebra import ParSymElement, antipode, character_zeta, coproduct, h
 from parsym.diagrams import (
     EMPTY_DIAGRAM,
@@ -10,6 +11,7 @@ from parsym.diagrams import (
     parse,
 )
 from parsym.nsym import (
+    NSYM,
     NSymElement,
     NSymTensor,
     QSymImage,
@@ -105,6 +107,36 @@ class TestNSymAlgebra:
     def test_hopf_axioms_degree_five(self):
         report = verify_nsym_hopf_axioms(5)
         assert report.all_passed
+        assert report.lines() == [
+            "coassociativity: PASS",
+            "counit: PASS",
+            "compatibility: PASS",
+            "antipode-left: PASS",
+            "antipode-right: PASS",
+            "antihomomorphism: PASS",
+            "takeuchi: PASS",
+        ]
+
+    def test_takeuchi_weight_seven(self):
+        # beyond the harness's weight 6: a seeded sample of the 64 compositions
+        for alpha in random.Random(7).sample(list(compositions(7)), 8):
+            assert hopfcheck.takeuchi(NSYM, nsym_h(alpha), 7) == nsym_antipode(nsym_h(alpha))
+
+    def test_corrupted_antipode_report_lines(self):
+        def antipode_word(alpha):
+            image = NSYM.antipode_word(alpha)
+            return image + nsym_h(alpha) if alpha == (2,) else image
+
+        fake = NSYM._replace(name="nsym-corrupted", antipode_word=antipode_word)
+        assert hopfcheck.verify_axioms(fake, 3, seed=5).lines() == [
+            "coassociativity: PASS",
+            "counit: PASS",
+            "compatibility: PASS",
+            "antipode-left: FAIL (at 1*H(2))",
+            "antipode-right: FAIL (at 1*H(2))",
+            "antihomomorphism: FAIL (at 1*H(2) ; -4*H(1) + 3*H(3))",
+            "takeuchi: FAIL (at 1*H(2))",
+        ]
 
 
 class TestZeta:
