@@ -8,23 +8,20 @@ pi is the sum of its splits H(x_c) (x) H(y_c), plus the two with an empty
 side; a word's is the product of its factors'.  ``coproduct_pairs_oracle``
 inverts the bullet product by brute force as an independent check.
 
-The antipode of a generator is the sum over the sets C of its bullet cuts
-of -(-1)^|C| H(pi with every block split at C), one term per regrouping of
-its bullet factors, extended as an antimorphism; Takeuchi's formula is an
-independent oracle.  The E-basis element E_d is the same sum over all the
-bullet cuts of the word d, signed (-1)^(factors + degree) in place of -1:
-the multiplicative extension of its value on generators.
-
-This module supplies only the generator data; ``FreeHopf.on_generators``
-builds the cached word maps of ``PARSYM``, whose methods are ``coproduct``,
-``antipode`` and ``counit``.
+The antipode and the E-basis are one regrouping sum over the sets C of a
+word's bullet cuts, which are its tensor factors': sign * (-1)^|C| H(the
+word with every block split at C).  E_d is this sum on d, signed
+(-1)^(factors + degree); the antipode of a word of r factors, the reversed
+product of theirs, is this sum on its factors in reverse order, signed
+(-1)^r.  Takeuchi's formula is an independent oracle.
+``FreeHopf.on_generators`` builds the cached maps of ``PARSYM``, whose
+methods are ``coproduct``, ``antipode`` and ``counit``.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import accumulate
 
 from . import hopfcheck
 from .diagrams import (
@@ -35,20 +32,22 @@ from .diagrams import (
     bullet_cuts,
     enumerate_diagrams,
     is_tensor_irreducible,
+    regroupings,
     render,
     sort_key,
     split,
-    split_blocks,
     tensor,
     tensor_cuts,
     tensor_factorize,
+    tensor_fold,
 )
 from .linear import FreeHopf, LinearCombination, TensorSquare
-from .sequences import compositions
 
 DEFAULT_TAKEUCHI_CAP = 4
 DEFAULT_ORACLE_CAP = 5
 DEFAULT_MATRIX_CAP = 5
+# the antipode and the E-basis have one term per set of bullet cuts
+REGROUPING_CUT_CAP = 19
 
 
 class ParSymElement(LinearCombination):
@@ -124,25 +123,28 @@ def coproduct_pairs_oracle(
 
 
 def _regroupings(d: PartitionDiagram, sign: int) -> ParSymElement:
-    # sign * (-1)^|C| * H(d split at C) over the sets C of d's bullet cuts, each
-    # picked by a composition's partial sums (so capped); distinct C, distinct words
+    # sign * (-1)^|C| * H(d split at C) over the sets C of d's bullet cuts;
+    # distinct C, distinct words
     cuts = bullet_cuts(d)
-    terms = {}
-    for alpha in compositions(len(cuts) + 1):
-        chosen = [cuts[i - 1] for i in accumulate(alpha[:-1])]
-        terms[split_blocks(d, chosen)] = sign * (-1) ** len(chosen)
-    return ParSymElement(terms)
+    if len(cuts) > REGROUPING_CUT_CAP:
+        raise CapExceeded(
+            f"{len(cuts)} bullet cuts exceed the cap {REGROUPING_CUT_CAP} (2^{len(cuts)} terms)"
+        )
+    return ParSymElement({word: sign * (-1) ** n for n, word in regroupings(d, cuts)})
 
 
-@functools.lru_cache(maxsize=1 << 16)
-def _antipode_generator(pi: PartitionDiagram) -> ParSymElement:
-    return _regroupings(pi, -1)
+def _antipode_word(d: PartitionDiagram) -> ParSymElement:
+    # S(H_pi1...pir) = S(H_pir)...S(H_pi1), one regrouping sum on the reversed word
+    factors = _factors(d)
+    if len(factors) > 1:
+        d = tensor_fold(reversed(factors))
+    return _regroupings(d, (-1) ** len(factors))
 
 
 PARSYM = FreeHopf.on_generators(
     _factors,
     lambda pi: DiagramTensor(dict.fromkeys(_generator_split_pairs(pi), 1)),
-    _antipode_generator,
+    _antipode_word,
     name="parsym",
     element=ParSymElement,
     tensor=DiagramTensor,

@@ -18,7 +18,6 @@ from . import algebra, closures, nsym, sequences
 from .diagrams import (
     PartitionDiagram,
     bullet,
-    bullet_cuts,
     bullet_decompose,
     from_json_obj,
     is_bullet_irreducible,
@@ -198,18 +197,15 @@ def _run_op(ns) -> int:
     if verb in ("coproduct", "antipode", "e-expand"):
         _require(args, 1, verb)
         d = _read_diagram(args[0])
-        cap = sequences.COMPOSITION_ITERATION_LIMIT - 1
         if verb == "coproduct":
             # a tensor factor f splits in m(f) + 1 ways, empty sides included
             choices = math.prod(m_statistic(f) + 1 for f in algebra._factors(d))
+            cap = sequences.COMPOSITION_ITERATION_LIMIT - 1
             if choices > 2**cap:
                 raise UsageError(f"{choices} coproduct cut choices exceed the cap 2^{cap}")
             _tensor_out(algebra.coproduct(algebra.h(d)), ns.json)
             return 0
-        # both sum over the subsets of the word's bullet cuts
-        cuts = len(bullet_cuts(d))
-        if cuts > cap:
-            raise UsageError(f"{cuts} bullet cuts exceed the cap {cap} (2^{cuts} terms)")
+        # both refuse a word past algebra.REGROUPING_CUT_CAP bullet cuts
         value = algebra.antipode(algebra.h(d)) if verb == "antipode" else algebra.e_basis_expand(d)
         _parsym_out(value, ns.json)
         return 0

@@ -36,7 +36,7 @@ from __future__ import annotations
 import functools
 import os
 import re
-from itertools import accumulate
+from itertools import accumulate, compress, product
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 DEFAULT_MAX_ORDER = 6
@@ -415,15 +415,22 @@ def split(d: PartitionDiagram, cuts: list[int]) -> list[PartitionDiagram]:
     ]
 
 
-def split_blocks(d: PartitionDiagram, cuts: list[int]) -> PartitionDiagram:
-    """d with every block split at the given increasing cut positions, in
-    one pass: ``tensor_fold(split(d, cuts))``.  A slot's label moves past
-    all labels of d once for each cut before its column."""
+def regroupings(d: PartitionDiagram, cuts: list[int]) -> Iterator[tuple[int, PartitionDiagram]]:
+    """(|C|, d with every block split at C) for each subset C of the given
+    increasing cut positions, the empty one first; the word is
+    ``tensor_fold(split(d, C))``.  The n-th piece takes its labels from d's
+    moved past all of d's n times, so each word is one relabelling of slices."""
     k, labels = d.order, d.labels
-    shifts: list[int] = []
-    for n, (lo, hi) in enumerate(zip([0, *cuts], [*cuts, k])):
-        shifts += [n * len(labels)] * (hi - lo)
-    return _diagram(_rgs([x + s for x, s in zip(labels, shifts + shifts)]))
+    moved = [labels, *([x + n * len(labels) for x in labels] for n in range(1, len(cuts) + 1))]
+    for chosen in product((False, True), repeat=len(cuts)):
+        top, bottom, n, lo = [], [], 0, 0
+        for c in compress(cuts, chosen):
+            top += moved[n][lo:c]
+            bottom += moved[n][k + lo : k + c]
+            n, lo = n + 1, c
+        top += moved[n][lo:k]
+        bottom += moved[n][k + lo :]
+        yield n, _diagram(_rgs(top + bottom)) if n else d
 
 
 # closure checks factorise each word directly and in its coproduct and antipode

@@ -8,10 +8,10 @@ appear at this level); a :class:`TensorSquare` multiplies pairs of words
 componentwise.  Instances are treated as immutable: operations always build
 fresh dicts.
 
-Both Hopf algebras are free, so Delta and S of a word are the product, or the
-reversed product, of their values on its generators (:func:`multiplicative`),
-cached by word in :meth:`FreeHopf.on_generators`; maps on elements are linear
-extensions (:meth:`LinearCombination.extend`).
+Both Hopf algebras are free: :meth:`FreeHopf.on_generators` builds Delta of
+a word as the product of its generators' coproducts, takes S of a word in
+closed form and caches both by word; maps on elements are linear extensions
+(:meth:`LinearCombination.extend`).
 """
 
 from __future__ import annotations
@@ -142,15 +142,6 @@ class TensorSquare(LinearCombination):
         return (mul(left[0], right[0]), mul(left[1], right[1]))
 
 
-def multiplicative(factors: Iterable, value: Callable, one: LinearCombination):
-    """The product of value(f) over the factors in order, starting at one:
-    the multiplicative extension of a map on generators to a word."""
-    out = one
-    for factor in factors:
-        out = out * value(factor)
-    return out
-
-
 class FreeHopf(NamedTuple):
     """A graded connected Hopf algebra, free as an algebra, given by its
     element and tensor-square types and its maps on basis words."""
@@ -181,18 +172,19 @@ class FreeHopf(NamedTuple):
         return degrees.pop() if degrees else 0
 
     @classmethod
-    def on_generators(cls, factors, coproduct_generator, antipode_generator, **fields):
+    def on_generators(cls, factors, coproduct_generator, antipode_word, **fields):
         """The algebra free on the generators that ``factors`` splits a word
         into: Delta of a word is the product of its generators' coproducts,
-        S the reversed product of their antipodes, each cached by word."""
-        element, tensor = fields["element"], fields["tensor"]
+        and ``antipode_word`` gives S of a word in closed form; one cache
+        policy for both."""
+        tensor = fields["tensor"]
+        cache = functools.lru_cache(maxsize=1 << 16)
 
-        @functools.lru_cache(maxsize=1 << 16)
+        @cache
         def coproduct_word(word):
-            return multiplicative(factors(word), coproduct_generator, tensor.one())
+            out = tensor.one()
+            for factor in factors(word):
+                out = out * coproduct_generator(factor)
+            return out
 
-        @functools.lru_cache(maxsize=1 << 16)
-        def antipode_word(word):
-            return multiplicative(reversed(factors(word)), antipode_generator, element.one())
-
-        return cls(coproduct_word=coproduct_word, antipode_word=antipode_word, **fields)
+        return cls(coproduct_word=coproduct_word, antipode_word=cache(antipode_word), **fields)

@@ -2,12 +2,12 @@
 morphisms tying it to the partition-diagram algebra.
 
 Basis words are integer compositions (tuples of positive ints); the product
-concatenates, Delta on a one-part generator is the full binomial-style sum
-H_i (x) H_{n-i}, and the antipode sends H_n to the signed sum over all
-compositions of n; ``FreeHopf.on_generators`` extends both to words, and
-``nsym_coproduct``, ``nsym_antipode`` and ``nsym_counit`` are ``NSYM``'s
-methods.  The elementary generators E_n are implemented both by their
-recursion and by the closed signed-sum formula.
+concatenates, and ``FreeHopf.on_generators`` extends Delta on a one-part
+generator, the full binomial-style sum H_i (x) H_{n-i}, to words.  The
+antipode sends H_alpha to the signed sum of H_beta over the refinements beta
+of reversed alpha.  ``nsym_coproduct``, ``nsym_antipode`` and ``nsym_counit``
+are ``NSYM``'s methods.  The elementary generators E_n are implemented both
+by their recursion and by the closed signed-sum formula.
 
 Bridges:
 
@@ -87,15 +87,16 @@ def _coproduct_generator(n: int) -> NSymTensor:
     )
 
 
-@functools.lru_cache(maxsize=None)
-def _antipode_generator(n: int) -> NSymElement:
-    return NSymElement({alpha: -1 if len(alpha) % 2 else 1 for alpha in compositions(n)})
+def _antipode_word(alpha: Composition) -> NSymElement:
+    # S(H_ar)...S(H_a1): each refinement concatenates one composition of each part
+    refinements = itertools.product(*map(compositions, reversed(alpha)))
+    return NSymElement({sum(b, ()): (-1) ** sum(map(len, b)) for b in refinements})
 
 
 NSYM = FreeHopf.on_generators(
     tuple,
     _coproduct_generator,
-    _antipode_generator,
+    _antipode_word,
     name="nsym",
     element=NSymElement,
     tensor=NSymTensor,

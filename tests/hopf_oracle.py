@@ -1,12 +1,16 @@
 """Test oracle for the Hopf maps on generators, independent of the cut rule.
 
 The library reads the split pairs, the antipode and the E-basis straight
-off a word's bullet cuts (``split``, ``split_blocks``).  This module keeps
+off a word's bullet cuts (``split``, ``regroupings``).  This module keeps
 the formulas as the paper states them: take a generator apart into its
 bullet factors t_1 . ... . t_m, rebuild every prefix and suffix, or every
 regrouping over a composition of m, with ``bullet_fold`` and ``tensor``,
-and extend multiplicatively over the tensor factors.
+and extend multiplicatively over the tensor factors with a plain
+``functools.reduce``, so no product code is shared with the library.
 """
+
+import functools
+import operator
 
 from parsym.algebra import ParSymElement
 from parsym.diagrams import (
@@ -17,7 +21,6 @@ from parsym.diagrams import (
     tensor,
     tensor_factorize,
 )
-from parsym.linear import multiplicative
 from parsym.sequences import compositions
 
 
@@ -51,14 +54,12 @@ def _generators(d: PartitionDiagram) -> list[PartitionDiagram]:
 
 def antipode_oracle(d: PartitionDiagram) -> ParSymElement:
     """S(H_d): the reversed product of the generators' regrouping sums."""
-    return multiplicative(
-        reversed(_generators(d)), lambda pi: _regrouped(pi, False), ParSymElement.one()
-    )
+    images = [_regrouped(pi, False) for pi in reversed(_generators(d))]
+    return functools.reduce(operator.mul, images, ParSymElement.one())
 
 
 def e_basis_oracle(d: PartitionDiagram) -> ParSymElement:
     """E_d: the product of the generators' regrouping sums, each signed by
     (-1)^order."""
-    return multiplicative(
-        _generators(d), lambda pi: _regrouped(pi, True), ParSymElement.one()
-    )
+    images = [_regrouped(pi, True) for pi in _generators(d)]
+    return functools.reduce(operator.mul, images, ParSymElement.one())

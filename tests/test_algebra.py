@@ -33,6 +33,7 @@ from parsym.diagrams import (
     m_statistic,
     parse,
     tensor,
+    tensor_fold,
 )
 
 D4 = parse("1,2,3/4/1',2'/3',4'")
@@ -199,6 +200,28 @@ class TestAntipode:
                 assert word.order == d.order
             for word in antipode(antipode(h(d))).terms:
                 assert word.order == d.order
+
+    def test_reducible_word_memory_is_linear(self):
+        # 2,000 order-1 factors: S is one term, +-H of the factors reversed; a
+        # product of the factors' antipodes keeps every partial word
+        factors = [SINGLETONS, ID1] * 1000
+        tracemalloc.start()
+        try:
+            image = antipode(h(tensor_fold(factors)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert image == h(tensor_fold(reversed(factors)))
+
+    def test_regrouping_cap(self):
+        # one block over 21 columns: 20 bullet cuts, refused before any term
+        d = PartitionDiagram(21, [[*range(1, 22), *range(-21, 0)]])
+        message = r"^20 bullet cuts exceed the cap 19 \(2\^20 terms\)$"
+        with pytest.raises(CapExceeded, match=message):
+            antipode(h(d))
+        with pytest.raises(CapExceeded, match=message):
+            e_basis_expand(d)
 
     def test_left_composite_vanishes_on_nonempty(self):
         for d in basis_up_to(3):

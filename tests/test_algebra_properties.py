@@ -5,7 +5,8 @@ order <= 4 and on random words of order <= 8.
 The random words come from three sources: random set partitions (mostly a
 single generator with no bullet cut), tensor products of family members
 (several generators), and chains of small pieces joined by random tensor
-and bullet products (many bullet cuts, so many regroupings).
+and bullet products (many bullet cuts, so many regroupings).  The axioms are
+also checked on random homogeneous sums of such words of order 5-6.
 """
 
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from parsym.algebra import (
     ParSymElement,
     antipode,
     coproduct,
+    counit,
     e_basis_expand,
     h,
     takeuchi_antipode,
@@ -44,6 +46,29 @@ def chains(draw):
         join = draw(st.sampled_from((tensor, bullet)))
         word = join(word, PartitionDiagram(k, blocks))
     return word
+
+
+@st.composite
+def chains_of_order(draw, n):
+    """Pieces of order 1-2 with orders summing to n, joined left to right by
+    tensor or bullet products."""
+    word = EMPTY_DIAGRAM
+    while word.order < n:
+        k, blocks = draw(partitions(1, min(2, n - word.order)))
+        join = draw(st.sampled_from((tensor, bullet)))
+        word = join(word, PartitionDiagram(k, blocks))
+    return word
+
+
+@st.composite
+def homogeneous_sums(draw):
+    """2-3 distinct words of one order 5-6, each with a coefficient in
+    -3..3 other than 0."""
+    n = draw(st.integers(5, 6))
+    word = st.one_of(partitions(n, n).map(lambda p: PartitionDiagram(*p)), chains_of_order(n))
+    coeff = st.integers(-3, 3).filter(bool)
+    ds = draw(st.lists(word, min_size=2, max_size=3, unique=True))
+    return ParSymElement({d: draw(coeff) for d in ds})
 
 
 words = st.one_of(
@@ -72,10 +97,8 @@ def test_maps_match_oracle_on_random_words(d):
     _matches_oracle(d)
 
 
-@PROPERTIES
-@given(words)
-def test_coassociativity(d):
-    pairs = coproduct(h(d)).terms.items()
+def _assert_coassociative(a):
+    pairs = coproduct(a).terms.items()
     left = LinearCombination(
         ((u, v, y), coeff * c)
         for (x, y), coeff in pairs
@@ -89,17 +112,27 @@ def test_coassociativity(d):
     assert left == right
 
 
-@PROPERTIES
-@given(words)
-def test_antipode_composites(d):
+def _assert_antipode_composites(a):
     # mul (S x id) Delta = unit counit = mul (id x S) Delta
-    unit = ParSymElement.zero() if d.order else ParSymElement.one()
-    pairs = coproduct(h(d)).terms.items()
+    unit = counit(a) * ParSymElement.one()
+    pairs = coproduct(a).terms.items()
     left, right = ParSymElement.zero(), ParSymElement.zero()
     for (x, y), coeff in pairs:
         left = left + coeff * (antipode(h(x)) * h(y))
         right = right + coeff * (h(x) * antipode(h(y)))
     assert left == unit == right
+
+
+@PROPERTIES
+@given(words)
+def test_coassociativity(d):
+    _assert_coassociative(h(d))
+
+
+@PROPERTIES
+@given(words)
+def test_antipode_composites(d):
+    _assert_antipode_composites(h(d))
 
 
 @settings(PROPERTIES, max_examples=50)
@@ -108,3 +141,11 @@ def test_takeuchi_beyond_harness_cap(d):
     # the axiom harness stops at degree 4; single words of degree 5-6 cost at
     # most some 30 ms, most of this test's time goes to drawing them
     assert takeuchi_antipode(h(d), max_degree=6) == antipode(h(d))
+
+
+@settings(PROPERTIES, max_examples=20)
+@given(homogeneous_sums())
+def test_axioms_on_homogeneous_sums(a):
+    _assert_coassociative(a)
+    _assert_antipode_composites(a)
+    assert takeuchi_antipode(a, max_degree=6) == antipode(a)

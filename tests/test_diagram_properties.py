@@ -5,6 +5,9 @@ blocks are shuffled before construction; the oracle works on plain blocks
 and knows nothing of restricted growth strings.
 """
 
+from collections import Counter
+from itertools import combinations
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,9 +19,9 @@ from parsym.diagrams import (
     bullet_fold,
     from_json_obj,
     parse,
+    regroupings,
     render,
     split,
-    split_blocks,
     tensor,
     tensor_cuts,
     tensor_factorize,
@@ -161,4 +164,10 @@ def test_split_blocks_is_folded_split(d, data):
     positions = max(d.order - 1, 0)
     mask = data.draw(st.lists(st.booleans(), min_size=positions, max_size=positions))
     cuts = [i for i, chosen in enumerate(mask, 1) if chosen]
-    assert split_blocks(d, cuts) == tensor_fold(split(d, cuts))
+    # every subset C of the cuts, with its size, once
+    expected = Counter(
+        (r, tensor_fold(split(d, list(c))))
+        for r in range(len(cuts) + 1)
+        for c in combinations(cuts, r)
+    )
+    assert Counter(regroupings(d, cuts)) == expected

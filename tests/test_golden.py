@@ -1,6 +1,6 @@
 """Byte-identical CLI output: sha256 digests of stdout for the element
 operations on three fixed diagrams (one of them a reducible word), the
-embedding phi, the verification reports (closure per family at the largest
+antipode and E-expansion of two long reducible words, the embedding phi, the verification reports (closure per family at the largest
 degree its cap allows), the dimension sequences with a closed form, and the
 members of every family (listed in enumeration order, counted and binned by
 the bullet statistic).
@@ -14,6 +14,12 @@ import io
 import pytest
 
 from parsym.cli import main
+from parsym.diagrams import parse, render, tensor_fold
+
+# three generators, two of them with bullet cuts, so S regroups a reversed word
+THREE_FACTORS = render(tensor_fold(map(parse, ["1,2,1',2'", "1/1'", "1,2,3/4/1',2'/3',4'"])))
+# 200 order-1 factors alternating 1,1' and 1/1'
+ALTERNATING = render(tensor_fold([parse("1,1'"), parse("1/1'")] * 100))
 
 GOLDEN = {
     "op coproduct 1,2,3/4/1',2'/3',4'": "096676b1b5a42c8ce8142162cf17a6d92e58bf7de587499336268180f7ccf113",
@@ -34,6 +40,12 @@ GOLDEN = {
     "op e-expand 1/2/3/1',2',3' --json": "c93d022d022c07f95526f570030a3be3cdd9569579995fea656ad4138a806353",
     "op e-expand 1,1'/2,3,2'/3'": "0e8cbce1642f25eb5beb8ad9f2d69a8d854f69fa33a94782ecdb6825982f60cb",
     "op e-expand 1,1'/2,3,2'/3' --json": "e11872be083f719df93942d8253c5c0e7c3fb87fefd3d1816158f2fc55164f8d",
+    f"op antipode {THREE_FACTORS}": "9466356a558c737c3fd67a0840b3fc5c5cff534ca9735f0a2ce31ed32c0bbfe2",
+    f"op antipode {THREE_FACTORS} --json": "be13607ade698c3994460fe4a41ae51d0e8631f7531fd77c12c6feb35afb5755",
+    f"op e-expand {THREE_FACTORS}": "0a5df09f09847fbb50ebf04bc4927d70c5a7760f6143eca16dd74bda70b9f02a",
+    f"op e-expand {THREE_FACTORS} --json": "b096189fa339a9eae829418229f65aae4d52a61edeb31fa7186fe45c70d2ac6d",
+    f"op antipode {ALTERNATING}": "58a228b6497a36d00474ba8bb1e009faa24c7bb7c8a6009972cd8abb9e0a5af8",
+    f"op antipode {ALTERNATING} --json": "a2931670f2921749dc63a733d2a85aec380657c691856f6f49902ab4b4d9eb3d",
     "op chi 1,2,3/4/1',2'/3',4'": "8d9496a29c52b293fe5c6321c26184dc7a5fb3b09e0ff74317159ed17fa61a25",
     "op chi 1,2,3/4/1',2'/3',4' --json": "608b9561c73a8fb0f6e6e8da80060de6fc9015e2d1b14087bd8eeeb4a899f429",
     "op chi 1/2/3/1',2',3'": "bd755de33670981518ed84818db161d1838e098f771b13fe9b148b1aaf49928b",
@@ -118,7 +130,9 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(GOLDEN))
+@pytest.mark.parametrize(
+    "command", sorted(GOLDEN), ids=lambda c: c.replace(ALTERNATING, "ALTERNATING")
+)
 def test_stdout_digest(command):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):

@@ -1,3 +1,5 @@
+import functools
+import operator
 import random
 
 import pytest
@@ -92,6 +94,15 @@ class TestNSymAlgebra:
         for n in range(1, 6):
             sign = 1 if n % 2 == 0 else -1
             assert nsym_antipode(nsym_h((n,))) == sign * nsym_e(n)
+
+    def test_antipode_is_reversed_product_of_signed_elementary(self):
+        # S(H_alpha) = prod over the parts a of alpha, reversed, of (-1)^a E_a,
+        # with E_a from its recursion and the product from a plain reduce
+        for n in range(8):
+            for alpha in compositions(n):
+                images = [(-1) ** a * nsym_e(a) for a in reversed(alpha)]
+                expected = functools.reduce(operator.mul, images, NSymElement.one())
+                assert nsym_antipode(nsym_h(alpha)) == expected
 
     def test_elementary_routes_agree(self):
         for n in range(1, 7):
