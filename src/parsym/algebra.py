@@ -5,8 +5,7 @@ of horizontal concatenation, so the algebra is free on the
 tensor-irreducible diagrams.  The maps are read off a word's bullet cuts,
 the positions c where it splits as x_c . y_c.  The coproduct of a generator
 pi is the sum of its splits H(x_c) (x) H(y_c), plus the two with an empty
-side; a word's is the product of its factors'.  ``coproduct_pairs_oracle``
-inverts the bullet product by brute force as an independent check.
+side; a word's is the product of its factors'.
 
 The antipode and the E-basis are one regrouping sum over the sets C of a
 word's bullet cuts, which are its tensor factors': sign * (-1)^|C| H(the
@@ -20,7 +19,6 @@ methods are ``coproduct``, ``antipode`` and ``counit``.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from . import hopfcheck
@@ -28,7 +26,6 @@ from .diagrams import (
     EMPTY_DIAGRAM,
     CapExceeded,
     PartitionDiagram,
-    bullet,
     bullet_cuts,
     enumerate_diagrams,
     is_tensor_irreducible,
@@ -44,9 +41,8 @@ from .diagrams import (
 from .linear import FreeHopf, LinearCombination, TensorSquare
 
 DEFAULT_TAKEUCHI_CAP = 4
-DEFAULT_ORACLE_CAP = 5
 DEFAULT_MATRIX_CAP = 5
-# the antipode and the E-basis have one term per set of bullet cuts
+# 2^19 terms, one per set of cuts: both antipodes, the E-basis, op coproduct
 REGROUPING_CUT_CAP = 19
 
 
@@ -95,31 +91,6 @@ def coproduct_pairs(pi: PartitionDiagram) -> list[tuple[PartitionDiagram, Partit
     return sorted(
         _generator_split_pairs(pi), key=lambda p: (sort_key(p[0]), sort_key(p[1]))
     )
-
-
-@functools.lru_cache(maxsize=None)
-def _bullet_preimages(n: int) -> dict[PartitionDiagram, list]:
-    # product -> its pairs (x, y), over nonempty x, y whose orders sum to n
-    table: dict[PartitionDiagram, list] = {}
-    for i in range(1, n):
-        for x in enumerate_diagrams(i):
-            for y in enumerate_diagrams(n - i):
-                table.setdefault(bullet(x, y), []).append((x, y))
-    return table
-
-
-def coproduct_pairs_oracle(
-    pi: PartitionDiagram, max_order: int = DEFAULT_ORACLE_CAP
-) -> list[tuple[PartitionDiagram, PartitionDiagram]]:
-    """All pairs (x, y), empty diagrams included, with x . y = pi, found by
-    multiplying out every pair of complementary orders.  Independent of the
-    cut-based split rule; capped because it scans whole basis levels."""
-    if not is_tensor_irreducible(pi):
-        raise ValueError("expected a tensor-irreducible diagram")
-    if pi.order > max_order:
-        raise CapExceeded(f"oracle capped at order {max_order}")
-    found = [(EMPTY_DIAGRAM, pi), (pi, EMPTY_DIAGRAM), *_bullet_preimages(pi.order).get(pi, ())]
-    return sorted(found, key=lambda p: (sort_key(p[0]), sort_key(p[1])))
 
 
 def _regroupings(d: PartitionDiagram, sign: int) -> ParSymElement:
@@ -188,33 +159,6 @@ class EHMatrix:
     basis: tuple[PartitionDiagram, ...]
     matrix: tuple[tuple[tuple[int, int], ...], ...]
     determinant: int
-
-
-def _det_bareiss(rows: list[list[int]]) -> int:
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = [row[:] for row in rows]
-    sign = 1
-    prev = 1
-    for i in range(n - 1):
-        if m[i][i] == 0:
-            for j in range(i + 1, n):
-                if m[j][i] != 0:
-                    m[i], m[j] = m[j], m[i]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[i][i]
-        for j in range(i + 1, n):
-            row_j = m[j]
-            row_i = m[i]
-            factor = row_j[i]
-            for k in range(i, n):
-                row_j[k] = (row_j[k] * pivot - factor * row_i[k]) // prev
-        prev = pivot
-    return sign * m[n - 1][n - 1]
 
 
 def e_h_matrix(n: int, max_degree: int = DEFAULT_MATRIX_CAP) -> EHMatrix:

@@ -200,7 +200,7 @@ def _run_op(ns) -> int:
         if verb == "coproduct":
             # a tensor factor f splits in m(f) + 1 ways, empty sides included
             choices = math.prod(m_statistic(f) + 1 for f in algebra._factors(d))
-            cap = sequences.COMPOSITION_ITERATION_LIMIT - 1
+            cap = algebra.REGROUPING_CUT_CAP
             if choices > 2**cap:
                 raise UsageError(f"{choices} coproduct cut choices exceed the cap 2^{cap}")
             _tensor_out(algebra.coproduct(algebra.h(d)), ns.json)

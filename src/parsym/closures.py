@@ -1,52 +1,56 @@
 """Machine verification that diagram families span Hopf subalgebras.
 
-For a family F and degree bound D, ``closure_report`` checks for every
-member d of order <= D that
+``closure_report`` certifies a family F up to degree D from one
+``enumerate_family`` walk per degree, computing no coproduct or antipode:
 
-* every tensor-irreducible factor of d stays in F (product closure, via
-  the factor-closure form);
-* both legs of every coproduct term of H_d stay in F;
-* every basis word in the antipode of H_d stays in F;
+* (a) factors: every tensor factor of a member is a member;
+* (b) products: with n_k members and g_k tensor-irreducible members of
+  order k, ``boolean_transform([n_1..n_k]) == [g_1..g_k]``.  By (a) and
+  unique factorisation the members of order k inject into the words in
+  F's generators, which number n_k exactly when (b) holds, so every tensor
+  product of members is a member;
+* (c) intervals: the piece of a generator between two of its bullet cuts,
+  or a cut and an end, is a member.  Prefix and suffix pieces are its
+  coproduct legs; interior pieces appear only in its antipode.
 
-and counts the primitive members per degree (the tensor-irreducible
-members whose bullet statistic is 1).
+Delta of a word is the product of its generators' splits and S of a word
+the regroupings of its reversed word, so every coproduct leg and antipode
+word is a tensor product of intervals, a member by (a)-(c).  The flags of
+degree k cover every degree up to k; the primitive members are the
+tensor-irreducible ones with no bullet cut.
 
 ``family_generator_counts`` counts tensor-irreducible members per order,
-the quantity that must match the Boolean transform of the family's
-dimension sequence.  These and ``m_distribution`` walk the members with
-``families.enumerate_family``, which skips non-members without building
-them, so small families stay cheap where full enumeration is large.
+which must equal the Boolean transform of the dimension sequence, and
+``m_distribution`` bins the bullet statistic, both over the members that
+``enumerate_family`` yields without building non-members.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
-from .algebra import PARSYM
 from .diagrams import (
     CapExceeded,
     PartitionDiagram,
+    bullet_cuts,
     is_tensor_irreducible,
     m_statistic,
-    tensor_factorize,
+    split,
+    tensor,
+    tensor_cuts,
 )
 from .families import Family, enumerate_family, family_member
+from .sequences import boolean_transform
 
-CLOSURE_CAP = 4
-CLOSURE_CAP_LARGE_FAMILIES = 3
+CLOSURE_CAP = 5
 GENERATOR_COUNT_CAP = 6
 M_DISTRIBUTION_CAP = 4
 
-_LARGE = (Family.ALL, Family.PLANAR)
-
 
 def is_primitive_basis_diagram(d: PartitionDiagram) -> bool:
-    """H_d is primitive iff d is tensor-irreducible with bullet statistic 1.
-    The irreducibility test reads the cached factorisation, which the
-    closure checks reuse."""
-    return (
-        not d.is_empty() and len(tensor_factorize(d)) == 1 and m_statistic(d) == 1
-    )
+    """H_d is primitive iff d is tensor-irreducible with bullet statistic 1."""
+    return not d.is_empty() and not tensor_cuts(d) and m_statistic(d) == 1
 
 
 @dataclass(frozen=True)
@@ -74,37 +78,54 @@ class ClosureReport:
 
 
 def closure_report(family: Family, max_degree: int) -> ClosureReport:
-    cap = CLOSURE_CAP_LARGE_FAMILIES if family in _LARGE else CLOSURE_CAP
-    if max_degree > cap:
-        raise CapExceeded(
-            f"closure check for {family.value} capped at degree {cap}"
-        )
+    """Certify (a)-(c) up to ``max_degree``.  A counterexample names a member
+    missing a factor, a missing product, or a generator missing a piece."""
+    if max_degree > CLOSURE_CAP:
+        raise CapExceeded(f"closure check for {family.value} capped at degree {CLOSURE_CAP}")
     checks: dict[int, DegreeChecks] = {}
     counterexample: tuple[PartitionDiagram, str] | None = None
-    for degree in range(1, max_degree + 1):
-        tensor_ok = delta_ok = antipode_ok = True
-        primitive = 0
-        for d in enumerate_family(degree, family):
-            if is_primitive_basis_diagram(d):
-                primitive += 1
-            if tensor_ok and not all(
-                family_member(f, family) for f in tensor_factorize(d)
-            ):
-                tensor_ok = False
-                counterexample = counterexample or (d, "tensor")
-            if delta_ok and not all(
-                family_member(left, family) and family_member(right, family)
-                for left, right in PARSYM.coproduct_word(d).terms
-            ):
-                delta_ok = False
-                counterexample = counterexample or (d, "coproduct")
-            if antipode_ok and not all(
-                family_member(word, family) for word in PARSYM.antipode_word(d).terms
-            ):
-                antipode_ok = False
-                counterexample = counterexample or (d, "antipode")
-        checks[degree] = DegreeChecks(tensor_ok, delta_ok, antipode_ok, primitive)
+    members, generators = [], []  # n_1..n_k and g_1..g_k
+    tensor_ok = delta_ok = antipode_ok = True
+    for k in range(1, max_degree + 1):
+        n = g = primitive = 0
+        for d in enumerate_family(k, family):
+            n += 1
+            cuts = tensor_cuts(d)
+            if cuts:
+                if tensor_ok and not all(family_member(f, family) for f in split(d, cuts)):
+                    tensor_ok = delta_ok = antipode_ok = False
+                    counterexample = counterexample or (d, "tensor")
+                continue
+            g += 1
+            bounds = [0, *bullet_cuts(d), k]
+            primitive += len(bounds) == 2
+            for lo, hi in combinations(bounds, 2):
+                outer = lo == 0 or hi == k
+                if (lo, hi) == (0, k) or not (delta_ok if outer else antipode_ok):
+                    continue
+                if not family_member(split(d, [lo, hi])[1], family):
+                    antipode_ok = False
+                    delta_ok = delta_ok and not outer
+                    counterexample = counterexample or (d, "coproduct" if outer else "antipode")
+        members.append(n)
+        generators.append(g)
+        if tensor_ok and boolean_transform(members) != generators:
+            tensor_ok = delta_ok = antipode_ok = False
+            counterexample = counterexample or (_missing_product(family, k), "tensor")
+        checks[k] = DegreeChecks(tensor_ok, delta_ok, antipode_ok, primitive)
     return ClosureReport(family, max_degree, checks, counterexample)
+
+
+def _missing_product(family: Family, k: int) -> PartitionDiagram:
+    # after a count mismatch at order k with every lower order closed, some
+    # member x times a generator y of order k - order(x) is not a member
+    return next(
+        w
+        for j in range(1, k)
+        for x in enumerate_family(j, family)
+        for y in enumerate_family(k - j, family)
+        if is_tensor_irreducible(y) and not family_member(w := tensor(x, y), family)
+    )
 
 
 def family_generator_counts(family: Family, max_k: int) -> list[int]:
@@ -115,11 +136,7 @@ def family_generator_counts(family: Family, max_k: int) -> list[int]:
             f"{GENERATOR_COUNT_CAP}"
         )
     return [
-        sum(
-            1
-            for d in enumerate_family(k, family, max_order=GENERATOR_COUNT_CAP)
-            if is_tensor_irreducible(d)
-        )
+        sum(map(is_tensor_irreducible, enumerate_family(k, family, max_order=GENERATOR_COUNT_CAP)))
         for k in range(1, max_k + 1)
     ]
 

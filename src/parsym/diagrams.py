@@ -433,18 +433,12 @@ def regroupings(d: PartitionDiagram, cuts: list[int]) -> Iterator[tuple[int, Par
         yield n, _diagram(_rgs(top + bottom)) if n else d
 
 
-# closure checks factorise each word directly and in its coproduct and antipode
-@functools.lru_cache(maxsize=1 << 16)
-def _tensor_factorize(d: PartitionDiagram) -> tuple[PartitionDiagram, ...]:
-    return tuple(split(d, tensor_cuts(d)))
-
-
 def tensor_factorize(d: PartitionDiagram) -> list[PartitionDiagram]:
     """The unique factorisation of a nonempty diagram into tensor-irreducible
     factors (split at every tensor cut)."""
     if d.is_empty():
         raise ValueError("the empty diagram has no tensor factorisation")
-    return list(_tensor_factorize(d))
+    return split(d, tensor_cuts(d))
 
 
 def bullet_cuts(d: PartitionDiagram) -> list[int]:

@@ -26,7 +26,7 @@ import itertools
 import re
 
 from . import hopfcheck
-from .algebra import PARSYM, ParSymElement, _factors, h
+from .algebra import PARSYM, REGROUPING_CUT_CAP, ParSymElement, _factors, h
 from .diagrams import CapExceeded, PartitionDiagram, m_statistic, tensor_fold
 from .linear import FreeHopf, LinearCombination, TensorSquare
 from .sequences import compositions
@@ -89,6 +89,9 @@ def _coproduct_generator(n: int) -> NSymTensor:
 
 def _antipode_word(alpha: Composition) -> NSymElement:
     # S(H_ar)...S(H_a1): each refinement concatenates one composition of each part
+    n = sum(alpha) - len(alpha)  # inner cuts, one term per set of them
+    if n > REGROUPING_CUT_CAP:
+        raise CapExceeded(f"{n} refinement cuts exceed the cap {REGROUPING_CUT_CAP} (2^{n} terms)")
     refinements = itertools.product(*map(compositions, reversed(alpha)))
     return NSymElement({sum(b, ()): (-1) ** sum(map(len, b)) for b in refinements})
 

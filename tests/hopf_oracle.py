@@ -7,21 +7,35 @@ bullet factors t_1 . ... . t_m, rebuild every prefix and suffix, or every
 regrouping over a composition of m, with ``bullet_fold`` and ``tensor``,
 and extend multiplicatively over the tensor factors with a plain
 ``functools.reduce``, so no product code is shared with the library.
+
+It also holds the brute-force checks the library no longer carries: the
+split pairs found by multiplying out every pair of complementary orders,
+Bareiss elimination for the E-to-H determinant, and the per-word closure
+check that builds the coproduct and antipode of every family member.
 """
 
 import functools
 import operator
 
-from parsym.algebra import ParSymElement
+from parsym.algebra import PARSYM, ParSymElement
+from parsym.closures import ClosureReport, DegreeChecks
 from parsym.diagrams import (
     EMPTY_DIAGRAM,
+    CapExceeded,
     PartitionDiagram,
+    bullet,
     bullet_decompose,
     bullet_fold,
+    enumerate_diagrams,
+    is_tensor_irreducible,
+    sort_key,
     tensor,
     tensor_factorize,
 )
+from parsym.families import Family, enumerate_family, family_member
 from parsym.sequences import compositions
+
+DEFAULT_ORACLE_CAP = 5
 
 
 def split_pairs_oracle(pi: PartitionDiagram) -> list[tuple[PartitionDiagram, PartitionDiagram]]:
@@ -63,3 +77,90 @@ def e_basis_oracle(d: PartitionDiagram) -> ParSymElement:
     (-1)^order."""
     images = [_regrouped(pi, True) for pi in _generators(d)]
     return functools.reduce(operator.mul, images, ParSymElement.one())
+
+
+@functools.lru_cache(maxsize=None)
+def _bullet_preimages(n: int) -> dict[PartitionDiagram, list]:
+    # product -> its pairs (x, y), over nonempty x, y whose orders sum to n
+    table: dict[PartitionDiagram, list] = {}
+    for i in range(1, n):
+        for x in enumerate_diagrams(i):
+            for y in enumerate_diagrams(n - i):
+                table.setdefault(bullet(x, y), []).append((x, y))
+    return table
+
+
+def coproduct_pairs_oracle(
+    pi: PartitionDiagram, max_order: int = DEFAULT_ORACLE_CAP
+) -> list[tuple[PartitionDiagram, PartitionDiagram]]:
+    """All pairs (x, y), empty diagrams included, with x . y = pi, found by
+    multiplying out every pair of complementary orders.  Independent of the
+    cut-based split rule; capped because it scans whole basis levels."""
+    if not is_tensor_irreducible(pi):
+        raise ValueError("expected a tensor-irreducible diagram")
+    if pi.order > max_order:
+        raise CapExceeded(f"oracle capped at order {max_order}")
+    found = [(EMPTY_DIAGRAM, pi), (pi, EMPTY_DIAGRAM), *_bullet_preimages(pi.order).get(pi, ())]
+    return sorted(found, key=lambda p: (sort_key(p[0]), sort_key(p[1])))
+
+
+def _det_bareiss(rows: list[list[int]]) -> int:
+    n = len(rows)
+    if n == 0:
+        return 1
+    m = [row[:] for row in rows]
+    sign = 1
+    prev = 1
+    for i in range(n - 1):
+        if m[i][i] == 0:
+            for j in range(i + 1, n):
+                if m[j][i] != 0:
+                    m[i], m[j] = m[j], m[i]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = m[i][i]
+        for j in range(i + 1, n):
+            row_j = m[j]
+            row_i = m[i]
+            factor = row_j[i]
+            for k in range(i, n):
+                row_j[k] = (row_j[k] * pivot - factor * row_i[k]) // prev
+        prev = pivot
+    return sign * m[n - 1][n - 1]
+
+
+def closure_oracle(family: Family, max_degree: int) -> ClosureReport:
+    """Test oracle for ``closures.closure_report``: build the tensor factors,
+    every coproduct term and every antipode word of each member up to
+    ``max_degree`` and test each for membership; H_d counts as primitive
+    when its coproduct is H_d (x) 1 + 1 (x) H_d.  Its cost grows with the
+    2^m terms of each member's maps, so it has no place outside tests."""
+    checks: dict[int, DegreeChecks] = {}
+    counterexample: tuple[PartitionDiagram, str] | None = None
+    for degree in range(1, max_degree + 1):
+        tensor_ok = delta_ok = antipode_ok = True
+        primitive = 0
+        for d in enumerate_family(degree, family):
+            pairs = PARSYM.coproduct_word(d).terms
+            if pairs.keys() == {(d, EMPTY_DIAGRAM), (EMPTY_DIAGRAM, d)}:
+                primitive += 1
+            if tensor_ok and not all(
+                family_member(f, family) for f in tensor_factorize(d)
+            ):
+                tensor_ok = False
+                counterexample = counterexample or (d, "tensor")
+            if delta_ok and not all(
+                family_member(left, family) and family_member(right, family)
+                for left, right in pairs
+            ):
+                delta_ok = False
+                counterexample = counterexample or (d, "coproduct")
+            if antipode_ok and not all(
+                family_member(word, family) for word in PARSYM.antipode_word(d).terms
+            ):
+                antipode_ok = False
+                counterexample = counterexample or (d, "antipode")
+        checks[degree] = DegreeChecks(tensor_ok, delta_ok, antipode_ok, primitive)
+    return ClosureReport(family, max_degree, checks, counterexample)

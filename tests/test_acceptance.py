@@ -4,11 +4,12 @@ line.  Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 
 import time
 
+from hopf_oracle import coproduct_pairs_oracle
+
 from parsym.algebra import (
     DiagramTensor,
     coproduct,
     coproduct_pairs,
-    coproduct_pairs_oracle,
     e_h_matrix,
     h,
     verify_hopf_axioms,

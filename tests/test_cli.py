@@ -288,6 +288,14 @@ class TestVerify:
         assert code == 0
         assert len(out.splitlines()) == 8
 
+    def test_closure_sweep_at_cap(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "closure", "--max-degree", "5")
+        assert code == 0
+        assert [line.endswith(": PASS (degrees 1..5)") for line in out.splitlines()] == [True] * 8
+        code, out, err = run_cli(capsys, "verify", "closure", "--max-degree", "6")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_counts(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "counts", "--terms", "4")
         assert code == 0

@@ -2,14 +2,22 @@ from math import comb
 
 import pytest
 from family_oracle import oracle_member
+from hopf_oracle import closure_oracle
 
+from parsym import families
 from parsym.closures import (
     closure_report,
     family_generator_counts,
     is_primitive_basis_diagram,
     m_distribution,
 )
-from parsym.diagrams import CapExceeded, enumerate_diagrams, is_tensor_irreducible
+from parsym.diagrams import (
+    CapExceeded,
+    GrowthRule,
+    enumerate_diagrams,
+    is_tensor_irreducible,
+    render,
+)
 from parsym.families import Family, enumerate_family
 from parsym.sequences import (
     boolean_transform,
@@ -50,9 +58,9 @@ class TestClosureReports:
 
     def test_cap_refusal(self):
         with pytest.raises(CapExceeded):
-            closure_report(Family.ALL, 4)
+            closure_report(Family.ALL, 6)
         with pytest.raises(CapExceeded):
-            closure_report(Family.PERMUTATION, 5)
+            closure_report(Family.PERMUTATION, 6)
 
     def test_perfect_matchings_irreducibles_all_primitive(self):
         for k in (1, 2, 3):
@@ -64,6 +72,64 @@ class TestClosureReports:
         report = closure_report(Family.PERFECT_MATCHING, 3)
         counts = {k: c.primitive_count for k, c in report.checks.items()}
         assert counts == {1: 1, 2: 2, 3: 10}
+
+
+# non-closed rules: "every block holds a top node" loses the bottom-only
+# block of a coproduct leg; "at most one block of two or more nodes" loses
+# the tensor square of a member
+EVERY_BLOCK_TOPPED = GrowthRule(lambda blocks, b, v: True, lambda blocks, v, left: v > 0)
+ONE_LARGE_BLOCK = GrowthRule(
+    lambda blocks, b, v: len(b) > 1 or all(len(c) == 1 for c in blocks)
+)
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("family", list(Family))
+    def test_agrees_with_oracle(self, family):
+        degree = 3 if family in (Family.ALL, Family.PLANAR) else 4
+        report, oracle = closure_report(family, degree), closure_oracle(family, degree)
+        assert report.checks == oracle.checks
+        assert report.all_passed and oracle.all_passed
+
+    @pytest.mark.parametrize(
+        "rule, counterexample",
+        [
+            (EVERY_BLOCK_TOPPED, ("1,1',2'/2", "coproduct")),
+            (ONE_LARGE_BLOCK, ("1,1'/2,2'", "tensor")),
+        ],
+    )
+    def test_fake_rules_fail(self, monkeypatch, rule, counterexample):
+        monkeypatch.setitem(families._RULES, Family.PLANAR, rule)
+        report = closure_report(Family.PLANAR, 3)
+        assert not report.all_passed
+        d, check = report.counterexample
+        assert (render(d), check) == counterexample
+        assert not report.checks[3].passed
+        assert not closure_oracle(Family.PLANAR, 3).all_passed
+
+    @pytest.mark.parametrize(
+        "family",
+        [
+            Family.PERMUTATION,
+            Family.PERFECT_MATCHING,
+            Family.PARTIAL_PERMUTATION,
+            Family.PLANAR_PERFECT_MATCHING,
+            Family.PLANAR_PARTIAL_PERMUTATION,
+        ],
+    )
+    def test_degree_five_generators_all_primitive(self, family):
+        report = closure_report(family, 5)
+        assert report.all_passed
+        primitive = [c.primitive_count for c in report.checks.values()]
+        assert primitive == family_generator_counts(family, 5)
+
+    @pytest.mark.parametrize("family, degree", [(Family.PLANAR, 5), (Family.ALL, 4)])
+    def test_bullet_closed_primitives(self, family, degree):
+        # a generator is the bullet product of primitive generators
+        report = closure_report(family, degree)
+        assert report.all_passed
+        primitive = [c.primitive_count for c in report.checks.values()]
+        assert primitive == boolean_transform(family_generator_counts(family, degree))
 
 
 class TestGeneratorCounts:

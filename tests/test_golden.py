@@ -1,7 +1,7 @@
 """Byte-identical CLI output: sha256 digests of stdout for the element
 operations on three fixed diagrams (one of them a reducible word), the
-antipode and E-expansion of two long reducible words, the embedding phi, the verification reports (closure per family at the largest
-degree its cap allows), the dimension sequences with a closed form, and the
+antipode and E-expansion of two long reducible words, the embedding phi, the verification reports (closure per family at degree 4,
+planar at 3), the dimension sequences with a closed form, and the
 members of every family (listed in enumeration order, counted and binned by
 the bullet statistic).
 Each key is the argv, space-joined; a refactor must leave every digest
@@ -73,7 +73,7 @@ GOLDEN = {
     "seq dim(matching) --terms 100": "87d97ade79cda8bfd8835a98eea204460bdff77948422b515dda4d5d813cd602",
     "seq dim(perfect-matching) --terms 100": "1ba770e72862e8a5a36b6ad2c4e13b1f595640b98ac4c83544dd5ed258610585",
     "seq dim(partial-permutation) --terms 100": "1d39215c1652e208ab6e0ed1530a2716b1294fcf1a0a7f4c199dab2027cab72c",
-    # closure reports per family at the largest degree each cap allows
+    # closure reports per family at degree 4, planar at 3
     "verify closure --family permutation --max-degree 4": "3f76ae91f26e85b272043e3aac41349cb9a342b93ae2bf019905d465587ccb72",
     "verify closure --family permutation --max-degree 4 --json": "0ae6f9b5cc8f9a0e6f8f6bba3755411c48c452ac36b1321dddaab858f64f33a8",
     "verify closure --family matching --max-degree 4": "db53c684c4b4b022929ace3f0534a8511b2f661c07c54f5e8558c9e5ca467994",

@@ -104,6 +104,13 @@ class TestNSymAlgebra:
                 expected = functools.reduce(operator.mul, images, NSymElement.one())
                 assert nsym_antipode(nsym_h(alpha)) == expected
 
+    def test_antipode_budget(self):
+        # one term per set of the sum - len inner cuts, capped at 19 cuts
+        for alpha in ((21,), (10, 10, 10)):
+            with pytest.raises(CapExceeded, match="exceed the cap 19"):
+                nsym_antipode(nsym_h(alpha))
+        assert len(nsym_antipode(nsym_h((9, 9))).terms) == 65_536
+
     def test_elementary_routes_agree(self):
         for n in range(1, 7):
             assert nsym_e(n) == nsym_e_closed(n)
