@@ -31,7 +31,7 @@ from .diagrams import (
     to_json_obj,
     vertical_compose,
 )
-from .families import Family, enumerate_family
+from .families import Family, count_family, enumerate_family
 
 OP_VERBS = (
     "parse",
@@ -227,9 +227,12 @@ def _run_op(ns) -> int:
     raise UsageError(f"unknown op verb {verb!r}")
 
 
+def _family(ns) -> Family:
+    return Family.from_name(ns.family) if ns.family else Family.ALL
+
+
 def _selected_diagrams(ns):
-    family = Family.from_name(ns.family) if ns.family else Family.ALL
-    for d in enumerate_family(ns.order, family, max_order=ns.max_order):
+    for d in enumerate_family(ns.order, _family(ns), max_order=ns.max_order):
         if ns.irreducible and not is_tensor_irreducible(d):
             continue
         if ns.bullet_irreducible and not is_bullet_irreducible(d):
@@ -244,7 +247,10 @@ def _run_enumerate(ns) -> int:
 
 
 def _run_count(ns) -> int:
-    count = sum(1 for _ in _selected_diagrams(ns))
+    if ns.bullet_irreducible:  # not a fact of a prefix: count the leaves
+        count = sum(1 for _ in _selected_diagrams(ns))
+    else:
+        count = count_family(ns.order, _family(ns), ns.max_order, ns.irreducible)
     print(json.dumps(count) if ns.json else count)
     return 0
 

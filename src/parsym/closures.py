@@ -20,9 +20,9 @@ degree k cover every degree up to k; the primitive members are the
 tensor-irreducible ones with no bullet cut.
 
 ``family_generator_counts`` counts tensor-irreducible members per order,
-which must equal the Boolean transform of the dimension sequence, and
-``m_distribution`` bins the bullet statistic, both over the members that
-``enumerate_family`` yields without building non-members.
+which must equal the Boolean transform of the dimension sequence, with
+``count_family``: per prefix of the member walk, with no member built.
+``m_distribution`` bins the bullet statistic over ``enumerate_family``.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .diagrams import (
     tensor,
     tensor_cuts,
 )
-from .families import Family, enumerate_family, family_member
+from .families import Family, count_family, enumerate_family, family_member
 from .sequences import boolean_transform
 
 CLOSURE_CAP = 5
@@ -136,7 +136,7 @@ def family_generator_counts(family: Family, max_k: int) -> list[int]:
             f"{GENERATOR_COUNT_CAP}"
         )
     return [
-        sum(map(is_tensor_irreducible, enumerate_family(k, family, max_order=GENERATOR_COUNT_CAP)))
+        count_family(k, family, max_order=GENERATOR_COUNT_CAP, irreducible=True)
         for k in range(1, max_k + 1)
     ]
 

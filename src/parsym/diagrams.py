@@ -237,6 +237,14 @@ class GrowthRule(NamedTuple):
     opens: Callable[[list[list[int]], int, int], bool] = _always
 
 
+def _check_order(k: int, max_order: int | None) -> None:
+    cap = global_max_order() if max_order is None else max_order
+    if k < 0:
+        raise ValueError("order must be nonnegative")
+    if k > cap:
+        raise CapExceeded(f"order {k} exceeds enumeration cap {cap}")
+
+
 def enumerate_diagrams(
     k: int, max_order: int | None = None, rule: GrowthRule | None = None
 ) -> Iterator[PartitionDiagram]:
@@ -244,17 +252,41 @@ def enumerate_diagrams(
     lexicographic order over the node order (Knuth, TAOCP 4A 7.2.1.5); the
     count is the Bell number of 2k.  With a ``rule``, yield only the
     diagrams it admits, in the same order.  The walk is a lazy depth-first
-    loop over one label string.  Refuses k beyond the cap (default 6, env
-    PARSYM_MAX_ORDER)."""
-    cap = global_max_order() if max_order is None else max_order
-    if k < 0:
-        raise ValueError("order must be nonnegative")
-    if k > cap:
-        raise CapExceeded(f"order {k} exceeds enumeration cap {cap}")
-    return _walk(_slots(k)[0], rule or GrowthRule(_always))
+    loop over one label string; ``count_diagrams`` stops the same walk one
+    node early and builds no diagram.  Refuses k beyond the cap (default 6,
+    env PARSYM_MAX_ORDER)."""
+    _check_order(k, max_order)
+    # blocks open in slot order, so the labels are already an RGS
+    walk = _walk(_slots(k)[0], rule or GrowthRule(_always), 2 * k)
+    return (_diagram(tuple(labels)) for labels, _ in walk)
 
 
-def _walk(nodes: tuple[int, ...], rule: GrowthRule) -> Iterator[PartitionDiagram]:
+def count_diagrams(
+    k: int, max_order: int | None = None, rule: GrowthRule | None = None, irreducible: bool = False
+) -> int:
+    """The number of diagrams ``enumerate_diagrams`` yields, or with
+    ``irreducible`` of the tensor-irreducible ones, under the same cap.
+    No diagram is built: the walk stops before the last node k' and counts
+    its admitted choices on each prefix."""
+    _check_order(k, max_order)
+    if k == 0:
+        return int(not irreducible)
+    joins, opens = rule = rule or GrowthRule(_always)
+    count = 0
+    for labels, blocks in _walk(_slots(k)[0], rule, 2 * k - 1):
+        # past the first line the prefix leaves uncrossed (k' alone crosses
+        # none), only a join to a block left of it crosses every line
+        cuts = irreducible and _tensor_cuts(k, labels + [len(blocks)])
+        if cuts:
+            count += sum(abs(b[0]) <= cuts[0] and joins(blocks, b, -k) for b in blocks)
+        else:
+            count += sum(joins(blocks, b, -k) for b in blocks) + opens(blocks, -k, 0)
+    return count
+
+
+def _walk(nodes: tuple[int, ...], rule: GrowthRule, stop: int) -> Iterator[tuple[list, list]]:
+    """The live (labels, blocks) of each admitted placement of the first
+    ``stop`` nodes in order; both lists change as the walk goes on."""
     joins, opens = rule
     n = len(nodes)
     labels: list[int] = []
@@ -262,7 +294,7 @@ def _walk(nodes: tuple[int, ...], rule: GrowthRule) -> Iterator[PartitionDiagram
     x = 0  # the next block to try for node len(labels); len(blocks) opens one
     while True:
         i = len(labels)
-        if i < n:
+        if i < stop:
             v = nodes[i]
             while x < len(blocks) and not joins(blocks, blocks[x], v):
                 x += 1
@@ -277,8 +309,7 @@ def _walk(nodes: tuple[int, ...], rule: GrowthRule) -> Iterator[PartitionDiagram
                 x = 0
                 continue
         else:
-            # blocks open in slot order, so the labels are already an RGS
-            yield _diagram(tuple(labels))
+            yield labels, blocks
         if not labels:
             return
         # backtrack: take the last node off and try its next block
@@ -380,10 +411,12 @@ def vertical_compose(
 
 
 def tensor_cuts(d: PartitionDiagram) -> list[int]:
-    """Positions i with no block crossing the line between columns i, i+1:
-    walking the columns, i is a cut iff no block seen so far reaches past
-    column i."""
-    k, labels = d.order, d.labels
+    """Positions i with no block crossing the line between columns i, i+1."""
+    return _tensor_cuts(d.order, d.labels)
+
+
+def _tensor_cuts(k: int, labels) -> list[int]:
+    # walking the columns, i is a cut iff no block seen so far reaches past it
     last = [0] * len(labels)  # last column of each label
     for c, x, y in zip(range(1, k + 1), labels, labels[k:]):
         last[x] = last[y] = c

@@ -11,9 +11,9 @@ Each family is defined once, by a ``GrowthRule`` over the node order
 * the three planar-* tags are conjunctions (Temperley-Lieb, Motzkin,
   planar rook).
 
-The empty diagram belongs to every family.  ``enumerate_family`` prunes the
-walk of ``enumerate_diagrams`` with the rule; ``family_member``, which the
-closure checks use, replays a diagram's labels through it.
+The empty diagram belongs to every family.  ``enumerate_family`` and
+``count_family`` prune the walk of ``enumerate_diagrams`` with the rule;
+``family_member``, which the closure checks use, replays labels through it.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 from typing import Iterator
 
-from .diagrams import GrowthRule, PartitionDiagram, _slots, enumerate_diagrams
+from .diagrams import GrowthRule, PartitionDiagram, _slots, count_diagrams, enumerate_diagrams
 
 
 class Family(enum.Enum):
@@ -97,6 +97,11 @@ def enumerate_family(
 ) -> Iterator[PartitionDiagram]:
     """Family members of order k, in the global enumeration order."""
     return enumerate_diagrams(k, max_order=max_order, rule=_RULES.get(family))
+
+
+def count_family(k: int, family: Family, max_order: int | None = None, irreducible: bool = False) -> int:
+    """Members of order k, or tensor-irreducible ones, counted without building one."""
+    return count_diagrams(k, max_order, _RULES.get(family), irreducible)
 
 
 def family_member(d: PartitionDiagram, family: Family) -> bool:

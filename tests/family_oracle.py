@@ -1,9 +1,11 @@
 """Test oracle for the diagram families, independent of the growth rules.
 
-Membership is decided by predicates over the ``blocks`` view, and the
-dimensions by the closed-form sums.  The library defines each family only
-by its ``GrowthRule``; the tests compare ``family_member``,
-``enumerate_family`` and ``family_dimension_sequence`` against these.
+Membership is decided by predicates over the ``blocks`` view, the
+dimensions by the closed-form sums, and the generator counts of the full
+family by a transfer count over open blocks.  The library defines each
+family only by its ``GrowthRule``; the tests compare ``family_member``,
+``enumerate_family``, ``count_family`` and ``family_dimension_sequence``
+against these.
 """
 
 import math
@@ -96,3 +98,28 @@ def closed_form_dimension(family: Family, k: int) -> int:
     if family is Family.PERMUTATION:
         return math.factorial(k)
     raise ValueError(f"no closed dimension formula for {family.value}")
+
+
+def irreducible_counts_by_transfer(n: int) -> list[int]:
+    """Oracle for a_1..a_n, the tensor-irreducible diagrams of each order,
+    built from no diagram and no Boolean transform.  The nodes arrive in the
+    order 1, 1', 2, 2', ...; the state is the number of open blocks, those
+    a later node still joins.  A node forms a lone block or joins an open
+    block that stays open (1 + s ways, s -> s), opens a block (s -> s + 1)
+    or closes one (s ways, s -> s - 1).  A line between columns is crossed
+    exactly when a block is open there, so state 0 after a column ends the
+    diagrams of that order and is dropped before the walk goes on."""
+    counts = []
+    ways = [1]  # ways[s]: node sequences so far that leave s blocks open
+    for _ in range(n):
+        for _node in "top", "bottom":
+            step = [0] * (len(ways) + 1)
+            for s, w in enumerate(ways):
+                step[s] += (1 + s) * w
+                step[s + 1] += w
+                if s:
+                    step[s - 1] += s * w
+            ways = step
+        counts.append(ways[0])
+        ways[0] = 0
+    return counts

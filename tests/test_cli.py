@@ -9,6 +9,7 @@ import pytest
 import parsym
 from parsym.cli import PHI_ORDER_CAP, SEQUENCE_NESTING_CAP, main
 from parsym.diagrams import PartitionDiagram, parse, render, tensor_fold
+from parsym.families import Family
 from parsym.sequences import (
     boolean_transform_by_series,
     even_bell_sequence,
@@ -204,6 +205,34 @@ class TestEnumerateCount:
         assert code == 2 and "cap" in err
         code, out, _ = run_cli(capsys, "count", "--order", "2", "--max-order", "2")
         assert (code, out) == (0, "15\n")
+
+    @pytest.mark.parametrize("family", [None, *(f.value for f in Family)])
+    @pytest.mark.parametrize(
+        "flags",
+        [(), ("--irreducible",), ("--bullet-irreducible",), ("--irreducible", "--bullet-irreducible")],
+    )
+    def test_count_is_enumerate_line_count(self, capsys, family, flags):
+        # the counted path (per prefix) and the leaf path (--bullet-irreducible)
+        # both print what enumerate lists
+        args = (*flags, *(("--family", family) if family else ()))
+        for order in range(5):
+            _, listed, _ = run_cli(capsys, "enumerate", "--order", str(order), *args)
+            lines = len(listed.splitlines())
+            _, out, _ = run_cli(capsys, "count", "--order", str(order), *args)
+            assert out == f"{lines}\n"
+            _, out, _ = run_cli(capsys, "count", "--order", str(order), "--json", *args)
+            assert out == json.dumps(lines) + "\n"
+
+    @pytest.mark.parametrize("flag", ["--irreducible", "--bullet-irreducible"])
+    def test_both_count_paths_share_the_cap(self, capsys, monkeypatch, flag):
+        code, _, err = run_cli(capsys, "count", "--order", "7", flag)
+        assert (code, err) == (2, "error: order 7 exceeds enumeration cap 6\n")
+        monkeypatch.setenv("PARSYM_MAX_ORDER", "1")
+        code, _, err = run_cli(capsys, "count", "--order", "2", flag)
+        assert (code, err) == (2, "error: order 2 exceeds enumeration cap 1\n")
+        code, out, _ = run_cli(capsys, "count", "--order", "2", "--max-order", "2", flag)
+        # 11 diagrams of order 2 are tensor-irreducible, and 11 bullet-irreducible
+        assert (code, out) == (0, "11\n")
 
 
 class TestSeq:

@@ -11,6 +11,7 @@ from parsym.diagrams import (
     bullet_cuts,
     bullet_decompose,
     bullet_fold,
+    count_diagrams,
     enumerate_diagrams,
     from_json_obj,
     identity_diagram,
@@ -46,8 +47,8 @@ def brute_set_partitions(items):
         yield smaller + [[last]]
 
 
-def all_diagrams(k):
-    return list(enumerate_diagrams(k))
+def all_diagrams(k, max_order=None):
+    return list(enumerate_diagrams(k, max_order))
 
 
 def small_diagrams(max_order):
@@ -160,6 +161,19 @@ class TestEnumeration:
         with pytest.raises(CapExceeded):
             list(enumerate_diagrams(3))
         assert len(all_diagrams(2)) == 15
+
+    def test_count_shares_the_cap(self, monkeypatch):
+        def refusal(run, *args, **kwargs):
+            with pytest.raises(CapExceeded) as info:
+                run(*args, **kwargs)
+            return str(info.value)
+
+        assert refusal(count_diagrams, 7) == refusal(all_diagrams, 7)
+        assert refusal(count_diagrams, 7) == "order 7 exceeds enumeration cap 6"
+        assert refusal(count_diagrams, 3, max_order=2) == refusal(all_diagrams, 3, max_order=2)
+        monkeypatch.setenv("PARSYM_MAX_ORDER", "1")
+        assert refusal(count_diagrams, 2) == refusal(all_diagrams, 2)
+        assert count_diagrams(2, max_order=2) == len(all_diagrams(2, max_order=2)) == 15
 
 
 class TestTensor:

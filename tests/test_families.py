@@ -1,7 +1,7 @@
 import functools
 
 import pytest
-from family_oracle import oracle_member
+from family_oracle import irreducible_counts_by_transfer, oracle_member
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_diagram_properties import partitions
@@ -10,12 +10,17 @@ from parsym.diagrams import (
     EMPTY_DIAGRAM,
     PartitionDiagram,
     enumerate_diagrams,
+    is_tensor_irreducible,
     parse,
     tensor,
     tensor_fold,
 )
-from parsym.families import Family, enumerate_family, family_member
-from parsym.sequences import family_dimension
+from parsym.families import Family, count_family, enumerate_family, family_member
+from parsym.sequences import (
+    family_dimension,
+    irreducible_count,
+    irreducible_count_sequence,
+)
 
 
 def members(k, family):
@@ -70,6 +75,35 @@ class TestCounts:
 
     def test_all_family_is_everything(self):
         assert len(members(3, Family.ALL)) == 203
+
+
+@functools.cache
+def _a6():
+    # the paper's a_6 by enumeration, about 3 s
+    return count_family(6, Family.ALL, irreducible=True)
+
+
+class TestCountFamily:
+    """``count_family`` counts the last node's choices per prefix of the walk."""
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_equals_leaf_counts_to_order_five(self, family):
+        for k in range(6):
+            members = irreducible = 0
+            for d in enumerate_family(k, family):
+                members += 1
+                irreducible += is_tensor_irreducible(d)
+            assert count_family(k, family) == members
+            assert count_family(k, family, irreducible=True) == irreducible
+
+    def test_order_six_generators(self):
+        assert _a6() == irreducible_count(6) == 3663123
+
+    def test_transfer_oracle(self):
+        oracle = irreducible_counts_by_transfer(40)
+        assert oracle == irreducible_count_sequence(40)
+        counted = [count_family(k, Family.ALL, irreducible=True) for k in range(1, 6)]
+        assert oracle[:6] == [*counted, _a6()]
 
 
 class TestTensorClosure:
