@@ -38,12 +38,10 @@ from .diagrams import (
     tensor_factorize,
     tensor_fold,
 )
-from .linear import FreeHopf, LinearCombination, TensorSquare
+from .linear import REGROUPING_CUT_CAP, FreeHopf, LinearCombination, TensorSquare
 
 DEFAULT_TAKEUCHI_CAP = 4
 DEFAULT_MATRIX_CAP = 5
-# 2^19 terms, one per set of cuts: both antipodes, the E-basis, op coproduct
-REGROUPING_CUT_CAP = 19
 
 
 class ParSymElement(LinearCombination):

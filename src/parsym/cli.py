@@ -2,16 +2,18 @@
 
 Same inputs always produce byte-identical output.  Exit codes: 0 for
 success or a passing verification, 1 for a failing verification, 2 for
-usage errors (including explicit cap refusals).
+usage errors (including explicit cap refusals).  Each command parses its
+arguments, calls the library and prints; ``op`` and ``verify`` dispatch
+through the tables ``OPS`` and ``VERIFY``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from collections.abc import Iterable
+from dataclasses import asdict
 from pathlib import Path
 
 from . import algebra, closures, nsym, sequences
@@ -32,25 +34,6 @@ from .diagrams import (
     vertical_compose,
 )
 from .families import Family, count_family, enumerate_family
-
-OP_VERBS = (
-    "parse",
-    "render",
-    "tensor",
-    "bullet",
-    "vcompose",
-    "factorize",
-    "bullet-decompose",
-    "m",
-    "propagation",
-    "coproduct",
-    "antipode",
-    "e-expand",
-    "chi",
-    "phi",
-    "zeta",
-    "qsym-image",
-)
 
 # Sequences cost O(terms^2) big-integer products, each boolean(...) one more
 # transform; the slowest name at both caps takes 3.5 s on a 2-vCPU host.
@@ -92,10 +75,7 @@ def _emit(lines: Iterable[str]) -> None:
 
 
 def _diagram_out(d: PartitionDiagram, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(to_json_obj(d)))
-    else:
-        print(render(d))
+    print(json.dumps(to_json_obj(d)) if as_json else render(d))
 
 
 def _diagram_list_out(ds: list[PartitionDiagram], as_json: bool) -> None:
@@ -105,47 +85,76 @@ def _diagram_list_out(ds: list[PartitionDiagram], as_json: bool) -> None:
         _emit([render(d) for d in ds])
 
 
-def _parsym_out(el: algebra.ParSymElement, as_json: bool) -> None:
-    # each word rendered once; (order, text) is diagrams.sort_key
-    items = sorted((d.order, render(d), c) for d, c in el.terms.items())
+def _value_out(value, as_json: bool) -> None:
+    print(json.dumps(value) if as_json else value)
+
+
+def _vcompose_out(result: tuple[PartitionDiagram, int], as_json: bool) -> None:
+    d, removed = result
     if as_json:
-        print(json.dumps({text: str(c) for _, text, c in items}))
+        print(json.dumps({"diagram": to_json_obj(d), "removed": removed}))
     else:
-        _emit(f"{c} {text}" for _, text, c in items)
+        print(f"{render(d)} removed={removed}")
 
 
-def _tensor_out(el: algebra.DiagramTensor, as_json: bool) -> None:
-    items = sorted(
-        (l.order, render(l), r.order, render(r), c) for (l, r), c in el.terms.items()
-    )
+def _terms_out(rows: Iterable[tuple], as_json: bool) -> None:
+    """Print rows (sort key ..., text, coefficient) in sorted order: one JSON
+    map text -> coefficient string, or one ``coefficient text`` line each."""
+    rows = sorted(rows)
     if as_json:
-        print(json.dumps({f"{lt}⦿{rt}": str(c) for _, lt, _, rt, c in items}))
+        print(json.dumps({row[-2]: str(row[-1]) for row in rows}))
     else:
-        _emit(f"{c} {lt}|x|{rt}" for _, lt, _, rt, c in items)
+        _emit(f"{row[-1]} {row[-2]}" for row in rows)
 
 
-def _nsym_items(el: nsym.NSymElement):
-    return sorted(
-        el.terms.items(), key=lambda item: (sum(item[0]), item[0])
-    )
+def _words_out(el: algebra.ParSymElement, as_json: bool) -> None:
+    # the key (order, text) is diagrams.sort_key, and its text is the row's
+    _terms_out(((d.order, render(d), c) for d, c in el.terms.items()), as_json)
 
 
-def _nsym_out(el: nsym.NSymElement, as_json: bool) -> None:
-    items = _nsym_items(el)
-    if as_json:
-        print(json.dumps({nsym.render_composition(a): str(c) for a, c in items}))
-    else:
-        _emit([f"{c} {nsym.render_composition(a)}" for a, c in items])
+def _tensors_out(el: algebra.DiagramTensor, as_json: bool) -> None:
+    sep = "⦿" if as_json else "|x|"
+    rows = []
+    for (left, right), c in el.terms.items():
+        lt, rt = render(left), render(right)
+        rows.append((left.order, lt, right.order, rt, f"{lt}{sep}{rt}", c))
+    _terms_out(rows, as_json)
 
 
-def _qsym_out(el: nsym.QSymImage, as_json: bool) -> None:
-    items = sorted(el.terms.items(), key=lambda item: (sum(item[0]), item[0]))
-    if as_json:
-        print(
-            json.dumps({"M" + nsym.render_composition(a): str(c) for a, c in items})
-        )
-    else:
-        _emit([f"{c} M{nsym.render_composition(a)}" for a, c in items])
+def _compositions_out(el, as_json: bool, prefix: str = "") -> None:
+    # NSym words, or QSym monomials under prefix "M", by degree, then parts
+    rows = ((sum(a), a, prefix + nsym.render_composition(a), c) for a, c in el.terms.items())
+    _terms_out(rows, as_json)
+
+
+def _phi(text: str) -> algebra.ParSymElement:
+    alpha = nsym.parse_composition(text.strip())
+    if sum(alpha) > PHI_ORDER_CAP:
+        raise UsageError(f"composition total {sum(alpha)} exceeds the cap {PHI_ORDER_CAP}")
+    return nsym.phi(nsym.nsym_h(alpha))
+
+
+# verb -> (arity, map on the arguments, printer); every argument is a
+# diagram except phi's composition.  Coproduct, antipode and e-expand refuse
+# past the kernel's budget of 2^linear.REGROUPING_CUT_CAP terms.
+OPS = {
+    "parse": (1, lambda d: d, _diagram_out),
+    "render": (1, lambda d: d, lambda d, _: _diagram_out(d, False)),
+    "tensor": (2, tensor, _diagram_out),
+    "bullet": (2, bullet, _diagram_out),
+    "vcompose": (2, vertical_compose, _vcompose_out),
+    "factorize": (1, tensor_factorize, _diagram_list_out),
+    "bullet-decompose": (1, bullet_decompose, _diagram_list_out),
+    "m": (1, m_statistic, _value_out),
+    "propagation": (1, propagation_number, _value_out),
+    "coproduct": (1, lambda d: algebra.coproduct(algebra.h(d)), _tensors_out),
+    "antipode": (1, lambda d: algebra.antipode(algebra.h(d)), _words_out),
+    "e-expand": (1, algebra.e_basis_expand, _words_out),
+    "chi": (1, lambda d: nsym.chi(algebra.h(d)), _compositions_out),
+    "phi": (1, _phi, _words_out),
+    "zeta": (1, lambda d: algebra.character_zeta(algebra.h(d)), _value_out),
+    "qsym-image": (1, lambda d: nsym.qsym_image(algebra.h(d)), lambda el, j: _compositions_out(el, j, "M")),
+}
 
 
 def _require_positive(value: int, flag: str, cap: int | None = None) -> None:
@@ -155,76 +164,13 @@ def _require_positive(value: int, flag: str, cap: int | None = None) -> None:
         raise UsageError(f"{flag} {value} exceeds the cap {cap}")
 
 
-def _require(args: list[str], count: int, verb: str) -> None:
-    if len(args) != count:
-        raise UsageError(f"op {verb} expects {count} argument(s), got {len(args)}")
-
-
 def _run_op(ns) -> int:
-    verb, args = ns.verb, ns.args
-    if verb in ("parse", "render"):
-        _require(args, 1, verb)
-        _diagram_out(_read_diagram(args[0]), ns.json and verb == "parse")
-        return 0
-    if verb in ("tensor", "bullet"):
-        _require(args, 2, verb)
-        fn = tensor if verb == "tensor" else bullet
-        _diagram_out(fn(_read_diagram(args[0]), _read_diagram(args[1])), ns.json)
-        return 0
-    if verb == "vcompose":
-        _require(args, 2, verb)
-        d, removed = vertical_compose(_read_diagram(args[0]), _read_diagram(args[1]))
-        if ns.json:
-            print(json.dumps({"diagram": to_json_obj(d), "removed": removed}))
-        else:
-            print(f"{render(d)} removed={removed}")
-        return 0
-    if verb in ("factorize", "bullet-decompose"):
-        _require(args, 1, verb)
-        fn = tensor_factorize if verb == "factorize" else bullet_decompose
-        _diagram_list_out(fn(_read_diagram(args[0])), ns.json)
-        return 0
-    if verb in ("m", "propagation", "zeta"):
-        _require(args, 1, verb)
-        d = _read_diagram(args[0])
-        value = {
-            "m": m_statistic,
-            "propagation": propagation_number,
-            "zeta": lambda x: algebra.character_zeta(algebra.h(x)),
-        }[verb](d)
-        print(json.dumps(value) if ns.json else value)
-        return 0
-    if verb in ("coproduct", "antipode", "e-expand"):
-        _require(args, 1, verb)
-        d = _read_diagram(args[0])
-        if verb == "coproduct":
-            # a tensor factor f splits in m(f) + 1 ways, empty sides included
-            choices = math.prod(m_statistic(f) + 1 for f in algebra._factors(d))
-            cap = algebra.REGROUPING_CUT_CAP
-            if choices > 2**cap:
-                raise UsageError(f"{choices} coproduct cut choices exceed the cap 2^{cap}")
-            _tensor_out(algebra.coproduct(algebra.h(d)), ns.json)
-            return 0
-        # both refuse a word past algebra.REGROUPING_CUT_CAP bullet cuts
-        value = algebra.antipode(algebra.h(d)) if verb == "antipode" else algebra.e_basis_expand(d)
-        _parsym_out(value, ns.json)
-        return 0
-    if verb == "chi":
-        _require(args, 1, verb)
-        _nsym_out(nsym.chi(algebra.h(_read_diagram(args[0]))), ns.json)
-        return 0
-    if verb == "phi":
-        _require(args, 1, verb)
-        alpha = nsym.parse_composition(_read_text_argument(args[0]).strip())
-        if sum(alpha) > PHI_ORDER_CAP:
-            raise UsageError(f"composition total {sum(alpha)} exceeds the cap {PHI_ORDER_CAP}")
-        _parsym_out(nsym.phi(nsym.nsym_h(alpha)), ns.json)
-        return 0
-    if verb == "qsym-image":
-        _require(args, 1, verb)
-        _qsym_out(nsym.qsym_image(algebra.h(_read_diagram(args[0]))), ns.json)
-        return 0
-    raise UsageError(f"unknown op verb {verb!r}")
+    arity, fn, out = OPS[ns.verb]
+    if len(ns.args) != arity:
+        raise UsageError(f"op {ns.verb} expects {arity} argument(s), got {len(ns.args)}")
+    read = _read_text_argument if ns.verb == "phi" else _read_diagram
+    out(fn(*map(read, ns.args)), ns.json)
+    return 0
 
 
 def _family(ns) -> Family:
@@ -241,8 +187,7 @@ def _selected_diagrams(ns):
 
 
 def _run_enumerate(ns) -> int:
-    ds = list(_selected_diagrams(ns))
-    _diagram_list_out(ds, ns.json)
+    _diagram_list_out(list(_selected_diagrams(ns)), ns.json)
     return 0
 
 
@@ -251,40 +196,31 @@ def _run_count(ns) -> int:
         count = sum(1 for _ in _selected_diagrams(ns))
     else:
         count = count_family(ns.order, _family(ns), ns.max_order, ns.irreducible)
-    print(json.dumps(count) if ns.json else count)
+    _value_out(count, ns.json)
     return 0
+
+
+SEQUENCES = {
+    "a": sequences.irreducible_count_sequence,
+    "bell": sequences.bell_sequence,
+    "bell-even": sequences.even_bell_sequence,
+}
 
 
 def _resolve_sequence(name: str, family_name: str | None, terms: int) -> list[int]:
     name = name.strip()
-    if name == "a":
-        return sequences.irreducible_count_sequence(terms)
-    if name == "bell":
-        return sequences.bell_sequence(terms)
-    if name == "bell-even":
-        return sequences.even_bell_sequence(terms)
-    if name.startswith("boolean(") and name.endswith(")"):
-        return sequences.boolean_transform(
-            _resolve_sequence(name[8:-1], family_name, terms)
-        )
-    if name == "boolean":
-        if family_name:
-            base = sequences.family_dimension_sequence(
-                Family.from_name(family_name), terms
-            )
-        else:
-            base = sequences.even_bell_sequence(terms)
-        return sequences.boolean_transform(base)
-    if name.startswith("dim(") and name.endswith(")"):
-        return sequences.family_dimension_sequence(
-            Family.from_name(name[4:-1]), terms
-        )
     if name == "dim":
         if not family_name:
             raise UsageError("seq dim requires --family")
-        return sequences.family_dimension_sequence(
-            Family.from_name(family_name), terms
-        )
+        name = f"dim({family_name})"
+    elif name == "boolean":
+        name = f"boolean(dim({family_name}))" if family_name else "boolean(bell-even)"
+    if name.startswith("boolean(") and name.endswith(")"):
+        return sequences.boolean_transform(_resolve_sequence(name[8:-1], family_name, terms))
+    if name.startswith("dim(") and name.endswith(")"):
+        return sequences.family_dimension_sequence(Family.from_name(name[4:-1]), terms)
+    if name in SEQUENCES:
+        return SEQUENCES[name](terms)
     raise UsageError(f"unknown sequence {name!r}")
 
 
@@ -292,158 +228,117 @@ def _run_seq(ns) -> int:
     _require_positive(ns.terms, "--terms", SEQUENCE_TERMS_CAP)
     if ns.name.count("boolean(") > SEQUENCE_NESTING_CAP:
         raise UsageError(f"boolean(...) nested past the cap {SEQUENCE_NESTING_CAP}")
-    values = _resolve_sequence(ns.name, ns.family, ns.terms)
+    values = [str(v) for v in _resolve_sequence(ns.name, ns.family, ns.terms)]
     if ns.json:
-        print(json.dumps([str(v) for v in values]))
+        print(json.dumps(values))
     else:
-        _emit([str(v) for v in values])
+        _emit(values)
     return 0
 
 
-def _run_verify(ns) -> int:
-    if ns.max_degree is None:
-        ns.max_degree = 3 if ns.what == "closure" else 2
-    if ns.terms is None:
-        ns.terms = 7 if ns.what == "gf" else 4
-    if ns.what in ("gf", "counts"):
-        cap = SEQUENCE_TERMS_CAP if ns.what == "gf" else None
-        _require_positive(ns.terms, "--terms", cap)
+# Each check takes its size and its families (None where --family is not
+# read) and returns (passed, JSON object, text lines).
+
+
+def _check_hopf(max_degree: int, _) -> tuple[bool, dict, list[str]]:
+    report = algebra.verify_hopf_axioms(max_degree)
+    obj = {
+        "algebra": report.algebra,
+        "max_degree": report.max_degree,
+        "checks": [asdict(r) for r in report.results],
+        "passed": report.all_passed,
+    }
+    return report.all_passed, obj, report.lines()
+
+
+def _check_gf(terms: int, _) -> tuple[bool, dict, list[str]]:
+    report = sequences.verify_gf_identity(terms)
+    obj = {
+        "truncation_order": report.truncation_order,
+        "equal": report.equal,
+        "first_mismatch": report.first_mismatch,
+        "lhs": [str(v) for v in report.lhs],
+        "rhs": [str(v) for v in report.rhs],
+    }
+    if report.equal:
+        line = f"gf-identity: PASS (order {report.truncation_order})"
     else:
-        _require_positive(ns.max_degree, "--max-degree")
-    if ns.what == "hopf":
-        report = algebra.verify_hopf_axioms(ns.max_degree)
-        if ns.json:
-            print(
-                json.dumps(
-                    {
-                        "algebra": report.algebra,
-                        "max_degree": report.max_degree,
-                        "checks": [
-                            {
-                                "name": r.name,
-                                "passed": r.passed,
-                                "counterexample": r.counterexample,
-                            }
-                            for r in report.results
-                        ],
-                        "passed": report.all_passed,
-                    }
-                )
-            )
-        else:
-            _emit(report.lines())
-        return 0 if report.all_passed else 1
+        line = f"gf-identity: FAIL (first mismatch at x^{report.first_mismatch})"
+    return report.equal, obj, [line]
 
-    if ns.what == "gf":
-        report = sequences.verify_gf_identity(ns.terms)
-        if ns.json:
-            print(
-                json.dumps(
-                    {
-                        "truncation_order": report.truncation_order,
-                        "equal": report.equal,
-                        "first_mismatch": report.first_mismatch,
-                        "lhs": [str(v) for v in report.lhs],
-                        "rhs": [str(v) for v in report.rhs],
-                    }
-                )
-            )
-        elif report.equal:
-            print(f"gf-identity: PASS (order {report.truncation_order})")
-        else:
-            print(f"gf-identity: FAIL (first mismatch at x^{report.first_mismatch})")
-        return 0 if report.equal else 1
 
-    if ns.what == "closure":
-        families = (
-            [Family.from_name(ns.family)] if ns.family else list(CLOSURE_FAMILIES)
+def _check_closure(max_degree: int, families) -> tuple[bool, dict, list[str]]:
+    reports = [closures.closure_report(f, max_degree) for f in families]
+    rows, lines = [], []
+    for r in reports:
+        witness = r.counterexample and {"diagram": render(r.counterexample[0]), "check": r.counterexample[1]}
+        rows.append(
+            {
+                "family": r.family.value,
+                "passed": r.all_passed,
+                "checks": {str(k): asdict(c) for k, c in r.checks.items()},
+                "counterexample": witness,
+            }
         )
-        reports = [closures.closure_report(f, ns.max_degree) for f in families]
-        if ns.json:
-            print(
-                json.dumps(
-                    {
-                        "max_degree": ns.max_degree,
-                        "families": [
-                            {
-                                "family": r.family.value,
-                                "passed": r.all_passed,
-                                "checks": {
-                                    str(k): {
-                                        "tensor_closed": c.tensor_closed,
-                                        "delta_closed": c.delta_closed,
-                                        "antipode_closed": c.antipode_closed,
-                                        "primitive_count": c.primitive_count,
-                                    }
-                                    for k, c in r.checks.items()
-                                },
-                                "counterexample": None
-                                if r.counterexample is None
-                                else {
-                                    "diagram": render(r.counterexample[0]),
-                                    "check": r.counterexample[1],
-                                },
-                            }
-                            for r in reports
-                        ],
-                        "passed": all(r.all_passed for r in reports),
-                    }
-                )
-            )
+        if r.all_passed:
+            lines.append(f"{r.family.value}: PASS (degrees 1..{r.max_degree})")
         else:
-            for r in reports:
-                if r.all_passed:
-                    print(f"{r.family.value}: PASS (degrees 1..{r.max_degree})")
-                else:
-                    d, check = r.counterexample
-                    print(f"{r.family.value}: FAIL ({check} at {render(d)})")
-        return 0 if all(r.all_passed for r in reports) else 1
+            lines.append(f"{r.family.value}: FAIL ({witness['check']} at {witness['diagram']})")
+    passed = all(r.all_passed for r in reports)
+    return passed, {"max_degree": max_degree, "families": rows, "passed": passed}, lines
 
-    if ns.what == "counts":
-        families = (
-            [Family.from_name(ns.family)] if ns.family else list(FORMULA_FAMILIES)
+
+def _check_counts(terms: int, families) -> tuple[bool, dict, list[str]]:
+    rows, lines = [], []
+    for f in families:
+        counted = closures.family_generator_counts(f, terms)
+        expected = sequences.boolean_transform(sequences.family_dimension_sequence(f, terms))
+        ok = counted == expected
+        rows.append(
+            {
+                "family": f.value,
+                "counted": [str(v) for v in counted],
+                "expected": [str(v) for v in expected],
+                "passed": ok,
+            }
         )
-        rows = []
-        for f in families:
-            counted = closures.family_generator_counts(f, ns.terms)
-            expected = sequences.boolean_transform(
-                sequences.family_dimension_sequence(f, ns.terms)
-            )
-            rows.append((f, counted, expected))
-        if ns.json:
-            print(
-                json.dumps(
-                    {
-                        "terms": ns.terms,
-                        "families": [
-                            {
-                                "family": f.value,
-                                "counted": [str(v) for v in counted],
-                                "expected": [str(v) for v in expected],
-                                "passed": counted == expected,
-                            }
-                            for f, counted, expected in rows
-                        ],
-                        "passed": all(c == e for _, c, e in rows),
-                    }
-                )
-            )
-        else:
-            for f, counted, expected in rows:
-                status = "PASS" if counted == expected else "FAIL"
-                values = " ".join(str(v) for v in counted)
-                print(f"{f.value}: {status} ({values})")
-        return 0 if all(c == e for _, c, e in rows) else 1
+        lines.append(f"{f.value}: {'PASS' if ok else 'FAIL'} ({' '.join(map(str, counted))})")
+    passed = all(row["passed"] for row in rows)
+    return passed, {"terms": terms, "families": rows, "passed": passed}, lines
 
-    raise UsageError(f"unknown verify target {ns.what!r}")
+
+# target -> (check, size flag, its default, its cap, default families or
+# None where --family is not read)
+VERIFY = {
+    "hopf": (_check_hopf, "--max-degree", 2, None, None),
+    "gf": (_check_gf, "--terms", 7, SEQUENCE_TERMS_CAP, None),
+    "closure": (_check_closure, "--max-degree", 3, None, CLOSURE_FAMILIES),
+    "counts": (_check_counts, "--terms", 4, None, FORMULA_FAMILIES),
+}
+
+
+def _run_verify(ns) -> int:
+    check, flag, default, cap, families = VERIFY[ns.what]
+    given = {"--max-degree": ns.max_degree, "--terms": ns.terms, "--family": ns.family}
+    for other, value in given.items():
+        if value is not None and other != flag and (other != "--family" or families is None):
+            raise UsageError(f"verify {ns.what} does not take {other}")
+    size = default if given[flag] is None else given[flag]
+    _require_positive(size, flag, cap)
+    if ns.family:
+        families = (Family.from_name(ns.family),)
+    passed, obj, lines = check(size, families)
+    if ns.json:
+        print(json.dumps(obj))
+    else:
+        _emit(lines)
+    return 0 if passed else 1
 
 
 def _run_hist(ns) -> int:
     if ns.stat != "m":
         raise UsageError("only 'hist m' is available")
-    family = Family.from_name(ns.family) if ns.family else Family.ALL
-    cap = ns.max_order if ns.max_order is not None else closures.M_DISTRIBUTION_CAP
-    histogram = closures.m_distribution(ns.order, family, max_order=cap)
+    histogram = closures.m_distribution(ns.order, _family(ns), max_order=ns.max_order)
     if ns.json:
         print(json.dumps({str(k): v for k, v in histogram.items()}))
     else:
@@ -461,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("op", parents=[common], help="single diagram operations")
-    p.add_argument("verb", choices=OP_VERBS)
+    p.add_argument("verb", choices=tuple(OPS))
     p.add_argument("args", nargs="*")
     p.set_defaults(fn=_run_op)
 
@@ -481,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_run_seq)
 
     p = sub.add_parser("verify", parents=[common], help="verification certificates")
-    p.add_argument("what", choices=("hopf", "gf", "closure", "counts"))
+    p.add_argument("what", choices=tuple(VERIFY))
     p.add_argument("--max-degree", type=int, default=None)
     p.add_argument("--family", default=None)
     p.add_argument("--terms", type=int, default=None)

@@ -141,8 +141,11 @@ def family_generator_counts(family: Family, max_k: int) -> list[int]:
     ]
 
 
-def m_distribution(k: int, family: Family, max_order: int = M_DISTRIBUTION_CAP) -> dict[int, int]:
-    """Histogram of the bullet statistic over family members of order k."""
+def m_distribution(k: int, family: Family, max_order: int | None = None) -> dict[int, int]:
+    """Histogram of the bullet statistic over family members of order k,
+    refused past ``max_order`` (by default ``M_DISTRIBUTION_CAP``)."""
+    if max_order is None:
+        max_order = M_DISTRIBUTION_CAP
     histogram: dict[int, int] = {}
     for d in enumerate_family(k, family, max_order=max_order):
         value = m_statistic(d)

@@ -11,14 +11,22 @@ fresh dicts.
 Both Hopf algebras are free: :meth:`FreeHopf.on_generators` builds Delta of
 a word as the product of its generators' coproducts, takes S of a word in
 closed form and caches both by word; maps on elements are linear extensions
-(:meth:`LinearCombination.extend`).
+(:meth:`LinearCombination.extend`).  One budget, 2^``REGROUPING_CUT_CAP``
+terms, bounds the exponential maps: Delta of a word here, S and the
+E-basis where each algebra sums over its cuts.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from collections.abc import Callable, Iterable, Mapping
 from typing import NamedTuple
+
+from .diagrams import CapExceeded
+
+# 2^19 terms: one per set of cuts in S and E, one per cut choice in Delta
+REGROUPING_CUT_CAP = 19
 
 
 class LinearCombination:
@@ -175,16 +183,18 @@ class FreeHopf(NamedTuple):
     def on_generators(cls, factors, coproduct_generator, antipode_word, **fields):
         """The algebra free on the generators that ``factors`` splits a word
         into: Delta of a word is the product of its generators' coproducts,
-        and ``antipode_word`` gives S of a word in closed form; one cache
-        policy for both."""
+        refused past 2^REGROUPING_CUT_CAP cut choices (the product of their
+        term counts), and ``antipode_word`` gives S of a word in closed form;
+        one cache policy for both."""
         tensor = fields["tensor"]
         cache = functools.lru_cache(maxsize=1 << 16)
 
         @cache
         def coproduct_word(word):
-            out = tensor.one()
-            for factor in factors(word):
-                out = out * coproduct_generator(factor)
-            return out
+            legs = [coproduct_generator(factor) for factor in factors(word)]
+            choices = math.prod(len(leg.terms) for leg in legs)
+            if choices > 2**REGROUPING_CUT_CAP:
+                raise CapExceeded(f"{choices} coproduct cut choices exceed the cap 2^{REGROUPING_CUT_CAP}")
+            return functools.reduce(tensor.__mul__, legs, tensor.one())
 
         return cls(coproduct_word=coproduct_word, antipode_word=cache(antipode_word), **fields)

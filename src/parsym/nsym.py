@@ -26,9 +26,9 @@ import itertools
 import re
 
 from . import hopfcheck
-from .algebra import PARSYM, REGROUPING_CUT_CAP, ParSymElement, _factors, h
+from .algebra import PARSYM, ParSymElement, _factors, h
 from .diagrams import CapExceeded, PartitionDiagram, m_statistic, tensor_fold
-from .linear import FreeHopf, LinearCombination, TensorSquare
+from .linear import REGROUPING_CUT_CAP, FreeHopf, LinearCombination, TensorSquare
 from .sequences import compositions
 
 Composition = tuple[int, ...]

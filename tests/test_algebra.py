@@ -151,6 +151,13 @@ class TestCoproduct:
         with pytest.raises(ValueError):
             coproduct_pairs_oracle(parse("1,1'/2,2'"))
 
+    def test_coproduct_cut_choice_cap(self):
+        # 20 order-1 factors, each with two splits: 2^20 cut choices, refused
+        # by the kernel before any product, with the text op coproduct prints
+        word = tensor_fold([ID1, SINGLETONS] * 10)
+        with pytest.raises(CapExceeded, match=r"^1048576 coproduct cut choices exceed the cap 2\^19$"):
+            coproduct(h(word))
+
 
 class TestCounit:
     def test_values(self):

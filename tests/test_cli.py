@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -7,10 +8,14 @@ from pathlib import Path
 import pytest
 
 import parsym
-from parsym.cli import PHI_ORDER_CAP, SEQUENCE_NESTING_CAP, main
+from parsym import algebra, closures, sequences
+from parsym.cli import CLOSURE_FAMILIES, PHI_ORDER_CAP, SEQUENCE_NESTING_CAP, main
+from parsym.closures import ClosureReport, DegreeChecks
 from parsym.diagrams import PartitionDiagram, parse, render, tensor_fold
 from parsym.families import Family
+from parsym.hopfcheck import AxiomReport, AxiomResult
 from parsym.sequences import (
+    GfReport,
     boolean_transform_by_series,
     even_bell_sequence,
     irreducible_count_sequence,
@@ -336,6 +341,90 @@ class TestVerify:
         assert data["passed"] is True
 
 
+
+class TestVerifyFail:
+    """The FAIL reports, which no real input reaches, from failing reports
+    patched into the library: exact text and JSON, exit 1."""
+
+    @pytest.fixture
+    def failing(self, monkeypatch):
+        def closure_report(family, max_degree):
+            ok = family is not Family.PLANAR
+            checks = {k: DegreeChecks(ok or k < 2, True, ok or k < 2, k) for k in range(1, max_degree + 1)}
+            return ClosureReport(family, max_degree, checks, None if ok else (parse("1,2/1',2'"), "antipode"))
+
+        counts = closures.family_generator_counts
+        axioms = (AxiomResult("coassociativity", True), AxiomResult("counit", False, "at 1*1,1'"), AxiomResult("takeuchi", True))
+        monkeypatch.setattr(closures, "closure_report", closure_report)
+        monkeypatch.setattr(algebra, "verify_hopf_axioms", lambda k: AxiomReport("parsym", k, axioms))
+        monkeypatch.setattr(
+            closures,
+            "family_generator_counts",
+            lambda f, n: [*counts(f, n)[:-1], 0] if f is Family.MATCHING else counts(f, n),
+        )
+        monkeypatch.setattr(sequences, "verify_gf_identity", lambda n: GfReport(n, (0, 2, 11), (0, 2, 12)))
+
+    @pytest.mark.parametrize(
+        "argv, out",
+        [
+            ("verify hopf", "coassociativity: PASS\ncounit: FAIL (at 1*1,1')\ntakeuchi: PASS\n"),
+            (
+                "verify hopf --json",
+                '{"algebra": "parsym", "max_degree": 2, "checks": [{"name": "coassociativity", "passed": true, '
+                '"counterexample": null}, {"name": "counit", "passed": false, "counterexample": "at 1*1,1\'"}, '
+                '{"name": "takeuchi", "passed": true, "counterexample": null}], "passed": false}\n',
+            ),
+            ("verify gf --terms 2", "gf-identity: FAIL (first mismatch at x^2)\n"),
+            (
+                "verify gf --terms 2 --json",
+                '{"truncation_order": 2, "equal": false, "first_mismatch": 2, "lhs": ["0", "2", "11"], '
+                '"rhs": ["0", "2", "12"]}\n',
+            ),
+            (
+                "verify closure",
+                "permutation: PASS (degrees 1..3)\nplanar: FAIL (antipode at 1,2/1',2')\n"
+                "matching: PASS (degrees 1..3)\nperfect-matching: PASS (degrees 1..3)\n"
+                "partial-permutation: PASS (degrees 1..3)\nplanar-perfect-matching: PASS (degrees 1..3)\n"
+                "planar-matching: PASS (degrees 1..3)\nplanar-partial-permutation: PASS (degrees 1..3)\n",
+            ),
+            ("verify closure --family planar --max-degree 2", "planar: FAIL (antipode at 1,2/1',2')\n"),
+            (
+                "verify closure --family planar --max-degree 2 --json",
+                '{"max_degree": 2, "families": [{"family": "planar", "passed": false, "checks": '
+                '{"1": {"tensor_closed": true, "delta_closed": true, "antipode_closed": true, "primitive_count": 1}, '
+                '"2": {"tensor_closed": false, "delta_closed": true, "antipode_closed": false, "primitive_count": 2}}, '
+                '"counterexample": {"diagram": "1,2/1\',2\'", "check": "antipode"}}], "passed": false}\n',
+            ),
+            (
+                "verify counts --terms 3",
+                "permutation: PASS (1 1 3)\nplanar: PASS (2 10 84)\nmatching: FAIL (2 6 0)\n"
+                "perfect-matching: PASS (1 2 10)\npartial-permutation: PASS (2 3 14)\n",
+            ),
+            (
+                "verify counts --terms 3 --json",
+                '{"terms": 3, "families": [{"family": "permutation", "counted": ["1", "1", "3"], '
+                '"expected": ["1", "1", "3"], "passed": true}, {"family": "planar", "counted": ["2", "10", "84"], '
+                '"expected": ["2", "10", "84"], "passed": true}, {"family": "matching", "counted": ["2", "6", "0"], '
+                '"expected": ["2", "6", "44"], "passed": false}, {"family": "perfect-matching", '
+                '"counted": ["1", "2", "10"], "expected": ["1", "2", "10"], "passed": true}, '
+                '{"family": "partial-permutation", "counted": ["2", "3", "14"], "expected": ["2", "3", "14"], '
+                '"passed": true}], "passed": false}\n',
+            ),
+        ],
+    )
+    def test_fail_report(self, capsys, failing, argv, out):
+        assert run_cli(capsys, *argv.split()) == (1, out, "")
+
+    def test_closure_sweep_json_digest(self, capsys, failing):
+        code, out, err = run_cli(capsys, "verify", "closure", "--json")
+        assert (code, err) == (1, "")
+        data = json.loads(out)
+        assert [f["passed"] for f in data["families"]] == [f is not Family.PLANAR for f in CLOSURE_FAMILIES]
+        assert data["passed"] is False
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "ad6ff92fef51605db2df9d75d542ee6a70a495f6d99c706a456c133ea837f6da"
+
+
 class TestHist:
     def test_m_histogram(self, capsys):
         code, out, _ = run_cli(capsys, "hist", "m", "--order", "2")
@@ -374,6 +463,22 @@ class TestSizes:
         code, out, err = run_cli(capsys, *argv.split())
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            ("verify hopf --family planar", "--family"),
+            ("verify hopf --terms 3", "--terms"),
+            ("verify gf --max-degree 3", "--max-degree"),
+            ("verify gf --family planar", "--family"),
+            ("verify closure --terms 3", "--terms"),
+            ("verify counts --max-degree 3", "--max-degree"),
+        ],
+    )
+    def test_flag_the_target_ignores_is_usage_error(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, *argv.split())
+        assert (code, out) == (2, "")
+        assert err == f"error: verify {argv.split()[1]} does not take {flag}\n"
 
     @pytest.mark.parametrize(
         "argv", ["seq a --terms 99999999999", "verify gf --terms 99999999"]

@@ -111,6 +111,14 @@ class TestNSymAlgebra:
                 nsym_antipode(nsym_h(alpha))
         assert len(nsym_antipode(nsym_h((9, 9))).terms) == 65_536
 
+    def test_coproduct_budget(self):
+        # the kernel's cut-choice budget: 20 one-part generators of two terms
+        # each give 2^20 choices and refuse; 19 give 2^19 and stay under it
+        with pytest.raises(CapExceeded, match=r"^1048576 coproduct cut choices exceed the cap 2\^19$"):
+            nsym_coproduct(nsym_h((1,) * 20))
+        delta = nsym_coproduct(nsym_h((1,) * 19))
+        assert len(delta.terms) == 20 and sum(delta.terms.values()) == 2**19
+
     def test_elementary_routes_agree(self):
         for n in range(1, 7):
             assert nsym_e(n) == nsym_e_closed(n)
