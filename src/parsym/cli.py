@@ -139,7 +139,7 @@ def _phi(text: str) -> algebra.ParSymElement:
 # past the kernel's budget of 2^linear.REGROUPING_CUT_CAP terms.
 OPS = {
     "parse": (1, lambda d: d, _diagram_out),
-    "render": (1, lambda d: d, lambda d, _: _diagram_out(d, False)),
+    "render": (1, lambda d: d, _diagram_out),
     "tensor": (2, tensor, _diagram_out),
     "bullet": (2, bullet, _diagram_out),
     "vcompose": (2, vertical_compose, _vcompose_out),
@@ -168,6 +168,8 @@ def _run_op(ns) -> int:
     arity, fn, out = OPS[ns.verb]
     if len(ns.args) != arity:
         raise UsageError(f"op {ns.verb} expects {arity} argument(s), got {len(ns.args)}")
+    if ns.json and ns.verb == "render":  # op parse --json gives the JSON form
+        raise UsageError("op render does not take --json")
     read = _read_text_argument if ns.verb == "phi" else _read_diagram
     out(fn(*map(read, ns.args)), ns.json)
     return 0
@@ -212,11 +214,14 @@ def _resolve_sequence(name: str, family_name: str | None, terms: int) -> list[in
     if name == "dim":
         if not family_name:
             raise UsageError("seq dim requires --family")
-        name = f"dim({family_name})"
+        name, family_name = f"dim({family_name})", None
     elif name == "boolean":
         name = f"boolean(dim({family_name}))" if family_name else "boolean(bell-even)"
+        family_name = None
     if name.startswith("boolean(") and name.endswith(")"):
         return sequences.boolean_transform(_resolve_sequence(name[8:-1], family_name, terms))
+    if family_name:
+        raise UsageError(f"seq {name} does not take --family")
     if name.startswith("dim(") and name.endswith(")"):
         return sequences.family_dimension_sequence(Family.from_name(name[4:-1]), terms)
     if name in SEQUENCES:

@@ -8,13 +8,12 @@ linear extensions of the cached word maps.  Multi-leg tensors, which have no
 product, are plain :class:`LinearCombination` values on tuple keys.
 
 Takeuchi's formula  S = sum_k (-1)^k mul^(k-1) proj^(x k) Delta^(k-1),
-with proj killing degree zero, is evaluated here and used as the oracle
-for the closed-form antipode.
+with proj killing degree zero, is evaluated here on (prefix product, last
+leg) pairs and used as the oracle for the closed-form antipode.
 """
 
 from __future__ import annotations
 
-import functools
 import random
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -54,16 +53,19 @@ def iterated_coproducts(hopf: FreeHopf, a: LinearCombination) -> Iterator[Linear
 
 def takeuchi(hopf: FreeHopf, a: LinearCombination, degree: int) -> LinearCombination:
     """Evaluate Takeuchi's antipode formula on an element whose nonzero
-    terms all live in degrees <= degree.  The sum truncates at k = degree
-    because each projected leg carries degree at least one."""
-    mul = hopf.element._mul_key
+    terms all live in degrees <= degree, keeping each k-leg term as (product
+    of its first k-1 legs, last leg) and splitting only the last leg.  The sum
+    truncates at k = degree because each projected leg has positive degree."""
+    mul, deg = hopf.element._mul_key, hopf.degree
     result = _degree_zero(hopf, a)
-    for k, legs in zip(range(1, degree + 1), iterated_coproducts(hopf, a)):
-        sign = -1 if k % 2 else 1
-        result = result + hopf.element(
-            (functools.reduce(mul, tup), sign * coeff)
-            for tup, coeff in legs.terms.items()
-            if all(hopf.degree(key) for key in tup)
+    pairs = LinearCombination(((hopf.element.unit, key), c) for key, c in a.terms.items() if deg(key))
+    for k in range(1, degree + 1):
+        result = result + hopf.element((mul(p, y), (-1) ** k * c) for (p, y), c in pairs.terms.items())
+        pairs = LinearCombination(
+            ((mul(p, u), v), coeff * c)
+            for (p, y), coeff in pairs.terms.items()
+            for (u, v), c in hopf.coproduct_word(y).terms.items()
+            if deg(u) and deg(v)
         )
     return result
 

@@ -6,7 +6,7 @@ product through ``_mul_key`` and its identity word ``unit`` (all products
 here send basis elements to single basis elements, so no signs or expansions
 appear at this level); a :class:`TensorSquare` multiplies pairs of words
 componentwise.  Instances are treated as immutable: operations always build
-fresh dicts.
+fresh dicts, and a map's cached image of a basis word may be shared.
 
 Both Hopf algebras are free: :meth:`FreeHopf.on_generators` builds Delta of
 a word as the product of its generators' coproducts, takes S of a word in
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Iterable
 from typing import NamedTuple
 
 from .diagrams import CapExceeded
@@ -35,8 +35,8 @@ class LinearCombination:
     terms: dict
     unit: object
 
-    def __init__(self, terms: Mapping | Iterable = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
+    def __init__(self, terms: dict | Iterable = ()):
+        items = terms.items() if isinstance(terms, dict) else terms
         data = {}
         for key, coeff in items:
             value = data.get(key, 0) + coeff
@@ -119,9 +119,14 @@ class LinearCombination:
         return out
 
     def extend(self, f: Callable, cls: type | None = None):
-        """The linear extension of f (basis key -> element of cls, by
-        default this element's type) evaluated here, in one dict."""
-        return (cls or type(self))(
+        """The linear extension of f (basis key -> element of cls, by default
+        this element's type) here: f's own image on one basis word, else one dict."""
+        cls = cls or type(self)
+        if len(self.terms) == 1 and 1 in self.terms.values():
+            image = f(next(iter(self.terms)))
+            if type(image) is cls:
+                return image
+        return cls(
             (k, coeff * c)
             for key, coeff in self.terms.items()
             for k, c in f(key).terms.items()
@@ -195,6 +200,6 @@ class FreeHopf(NamedTuple):
             choices = math.prod(len(leg.terms) for leg in legs)
             if choices > 2**REGROUPING_CUT_CAP:
                 raise CapExceeded(f"{choices} coproduct cut choices exceed the cap 2^{REGROUPING_CUT_CAP}")
-            return functools.reduce(tensor.__mul__, legs, tensor.one())
+            return functools.reduce(tensor.__mul__, legs) if legs else tensor.one()
 
         return cls(coproduct_word=coproduct_word, antipode_word=cache(antipode_word), **fields)

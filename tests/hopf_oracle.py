@@ -10,13 +10,15 @@ and extend multiplicatively over the tensor factors with a plain
 
 It also holds the brute-force checks the library no longer carries: the
 split pairs found by multiplying out every pair of complementary orders,
-Bareiss elimination for the E-to-H determinant, and the per-word closure
-check that builds the coproduct and antipode of every family member.
+Bareiss elimination for the E-to-H determinant, the per-word closure
+check that builds the coproduct and antipode of every family member, and
+Takeuchi's formula over full tuples of coproduct legs.
 """
 
 import functools
 import operator
 
+from parsym import hopfcheck
 from parsym.algebra import PARSYM, ParSymElement
 from parsym.closures import ClosureReport, DegreeChecks
 from parsym.diagrams import (
@@ -36,6 +38,21 @@ from parsym.families import Family, enumerate_family, family_member
 from parsym.sequences import compositions
 
 DEFAULT_ORACLE_CAP = 5
+
+
+def takeuchi_oracle(hopf, a, degree: int):
+    """Takeuchi's formula with every k-leg term of the iterated coproduct
+    kept as its tuple of basis words, dropped when a leg has degree zero
+    and multiplied out leg by leg; the sum stops at k = degree."""
+    mul = hopf.element._mul_key
+    result = hopf.element((key, c) for key, c in a.terms.items() if hopf.degree(key) == 0)
+    for k, legs in zip(range(1, degree + 1), hopfcheck.iterated_coproducts(hopf, a)):
+        result = result + hopf.element(
+            (functools.reduce(mul, tup), (-1) ** k * coeff)
+            for tup, coeff in legs.terms.items()
+            if all(hopf.degree(key) for key in tup)
+        )
+    return result
 
 
 def split_pairs_oracle(pi: PartitionDiagram) -> list[tuple[PartitionDiagram, PartitionDiagram]]:

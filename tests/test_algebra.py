@@ -2,7 +2,7 @@ import random
 import tracemalloc
 
 import pytest
-from hopf_oracle import _det_bareiss, coproduct_pairs_oracle
+from hopf_oracle import _det_bareiss, coproduct_pairs_oracle, takeuchi_oracle
 
 from parsym.algebra import (
     PARSYM,
@@ -179,18 +179,29 @@ class TestAntipode:
         assert antipode(h(D4)) == -1 * h(D4) + h(tensor(D4_LEFT, SINGLETONS))
 
     def test_takeuchi_agreement_on_basis(self):
-        for d in basis_up_to(3):
-            assert takeuchi_antipode(h(d)) == antipode(h(d))
+        # the folded sum, the tuple-leg oracle and the closed form
+        for d in basis_up_to(4):
+            x = h(d)
+            assert takeuchi_antipode(x) == takeuchi_oracle(PARSYM, x, d.order) == antipode(x)
 
     def test_takeuchi_agreement_random_homogeneous(self):
         rng = random.Random(17)
-        levels = {k: all_diagrams(k) for k in range(4)}
+        levels = {k: all_diagrams(k) for k in range(5)}
         for _ in range(100):
-            degree = rng.randint(0, 3)
+            degree = rng.randint(0, 4)
             x = ParSymElement.zero()
             for _ in range(3):
                 x = x + rng.randint(-3, 3) * h(rng.choice(levels[degree]))
-            assert takeuchi_antipode(x) == antipode(x)
+            assert takeuchi_antipode(x) == takeuchi_oracle(PARSYM, x, degree) == antipode(x)
+
+    def test_takeuchi_matches_oracle_under_corrupted_coproduct(self):
+        # both split only the last leg, so a non-coassociative Delta still
+        # gives the tuple form's sum
+        victim = parse("1,1',2'/2")
+        fake = _corrupted(victim)
+        for d in basis_up_to(3):
+            assert hopfcheck.takeuchi(fake, h(d), d.order) == takeuchi_oracle(fake, h(d), d.order)
+        assert hopfcheck.takeuchi(fake, h(victim), 2) != antipode(h(victim))
 
     def test_takeuchi_requires_homogeneous(self):
         with pytest.raises(ValueError, match="not homogeneous"):
@@ -385,6 +396,36 @@ ALL_PASS = [
     "antihomomorphism: PASS",
     "takeuchi: PASS",
 ]
+
+
+class TestSharedImages:
+    """On a single basis word with coefficient 1 the maps return the cached
+    word image itself; nothing built from it may write into it."""
+
+    WORDS = (ID1, D4, tensor(D4, SINGLETONS))
+
+    def test_basis_words_return_cached_images(self):
+        for d in self.WORDS:
+            assert antipode(h(d)) is PARSYM.antipode_word(d)
+            assert coproduct(h(d)) is PARSYM.coproduct_word(d)
+
+    def test_arithmetic_leaves_cached_images_unchanged(self):
+        for f in (antipode, coproduct):
+            x, y = f(h(D4)), f(h(tensor(D4, SINGLETONS)))
+            before = (dict(x.terms), dict(y.terms))
+            for r in (x + x, 2 * x, x * y, y * x, x - x, -x):
+                assert r is not x and r is not y
+            assert (f(h(D4)).terms, f(h(tensor(D4, SINGLETONS))).terms) == before
+
+    def test_scaled_and_multi_term_elements_are_fresh(self):
+        scaled = coproduct(2 * h(D4))
+        assert scaled is not PARSYM.coproduct_word(D4)
+        assert scaled == 2 * PARSYM.coproduct_word(D4)
+        x = h(D4) + h(ID1)
+        for f, word_map in ((antipode, PARSYM.antipode_word), (coproduct, PARSYM.coproduct_word)):
+            image = f(x)
+            assert image is not word_map(D4) and image is not word_map(ID1)
+            assert image == word_map(D4) + word_map(ID1)
 
 
 class TestAxiomHarness:

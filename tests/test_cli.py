@@ -481,6 +481,28 @@ class TestSizes:
         assert err == f"error: verify {argv.split()[1]} does not take {flag}\n"
 
     @pytest.mark.parametrize(
+        "argv, name",
+        [
+            ("seq a --terms 5 --family planar", "a"),
+            ("seq a --terms 5 --family bogus", "a"),
+            ("seq bell --terms 5 --family planar", "bell"),
+            ("seq bell-even --terms 5 --family matching", "bell-even"),
+            ("seq dim(planar) --terms 5 --family planar", "dim(planar)"),
+            ("seq boolean(a) --terms 5 --family planar", "a"),
+            ("seq boolean(dim(permutation)) --terms 5 --family bogus", "dim(permutation)"),
+            ("seq fib --terms 5 --family planar", "fib"),
+        ],
+    )
+    def test_seq_refuses_family_it_does_not_read(self, capsys, argv, name):
+        code, out, err = run_cli(capsys, *argv.split())
+        assert (code, out) == (2, "")
+        assert err == f"error: seq {name} does not take --family\n"
+
+    def test_op_render_refuses_json(self, capsys):
+        code, out, err = run_cli(capsys, "op", "render", "1,1'", "--json")
+        assert (code, out, err) == (2, "", "error: op render does not take --json\n")
+
+    @pytest.mark.parametrize(
         "argv", ["seq a --terms 99999999999", "verify gf --terms 99999999"]
     )
     def test_terms_above_sequence_cap_refused(self, capsys, argv):

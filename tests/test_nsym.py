@@ -3,6 +3,7 @@ import operator
 import random
 
 import pytest
+from hopf_oracle import takeuchi_oracle
 
 from parsym import hopfcheck
 from parsym.algebra import ParSymElement, antipode, character_zeta, coproduct, h
@@ -144,9 +145,22 @@ class TestNSymAlgebra:
         ]
 
     def test_takeuchi_weight_seven(self):
-        # beyond the harness's weight 6: a seeded sample of the 64 compositions
-        for alpha in random.Random(7).sample(list(compositions(7)), 8):
-            assert hopfcheck.takeuchi(NSYM, nsym_h(alpha), 7) == nsym_antipode(nsym_h(alpha))
+        # every composition to weight 7, one beyond the harness: the folded
+        # sum, the tuple-leg oracle and the closed form
+        for n in range(8):
+            for alpha in compositions(n):
+                x = nsym_h(alpha)
+                assert hopfcheck.takeuchi(NSYM, x, n) == takeuchi_oracle(NSYM, x, n) == nsym_antipode(x)
+
+    def test_takeuchi_random_homogeneous(self):
+        rng = random.Random(43)
+        levels = {n: list(compositions(n)) for n in range(8)}
+        for _ in range(40):
+            n = rng.randint(0, 7)
+            x = NSymElement.zero()
+            for _ in range(3):
+                x = x + rng.randint(-3, 3) * nsym_h(rng.choice(levels[n]))
+            assert hopfcheck.takeuchi(NSYM, x, n) == takeuchi_oracle(NSYM, x, n) == nsym_antipode(x)
 
     def test_corrupted_antipode_report_lines(self):
         def antipode_word(alpha):
