@@ -1,6 +1,8 @@
 """Exact computer algebra for the combinatorial Hopf algebra whose basis
 words are partition diagrams under horizontal concatenation."""
 
+from types import ModuleType as _ModuleType
+
 from .algebra import (
     DiagramTensor,
     EHMatrix,
@@ -8,12 +10,10 @@ from .algebra import (
     antipode,
     character_zeta,
     coproduct,
-    coproduct_pairs,
     counit,
     e_basis_expand,
     e_h_matrix,
     h,
-    multiply,
     takeuchi_antipode,
     verify_hopf_axioms,
 )
@@ -21,7 +21,6 @@ from .closures import (
     ClosureReport,
     closure_report,
     family_generator_counts,
-    is_primitive_basis_diagram,
     m_distribution,
 )
 from .diagrams import (
@@ -58,10 +57,7 @@ from .nsym import (
     nsym_antipode,
     nsym_coproduct,
     nsym_counit,
-    nsym_e,
-    nsym_e_closed,
     nsym_h,
-    nsym_multiply,
     parse_composition,
     phi,
     phi_generator,
@@ -72,21 +68,22 @@ from .nsym import (
 )
 from .sequences import (
     GfReport,
-    TruncatedSeries,
     bell,
     bell_sequence,
     boolean_transform,
-    boolean_transform_by_compositions,
-    boolean_transform_by_series,
     compositions,
     even_bell_sequence,
     family_dimension,
     family_dimension_sequence,
-    inverse_boolean_transform,
     irreducible_count,
     irreducible_count_sequence,
     verify_gf_identity,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public names, without the submodules the imports above bind
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)
 __version__ = "0.1.0"

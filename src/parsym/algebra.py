@@ -1,7 +1,7 @@
 """The graded Hopf algebra on partition diagrams, over the H-basis.
 
-Basis words are partition diagrams; the product is the bilinear extension
-of horizontal concatenation, so the algebra is free on the
+Basis words are partition diagrams; the product ``a * b`` is the bilinear
+extension of horizontal concatenation, so the algebra is free on the
 tensor-irreducible diagrams.  The maps are read off a word's bullet cuts,
 the positions c where it splits as x_c . y_c.  The coproduct of a generator
 pi is the sum of its splits H(x_c) (x) H(y_c), plus the two with an empty
@@ -28,10 +28,8 @@ from .diagrams import (
     PartitionDiagram,
     bullet_cuts,
     enumerate_diagrams,
-    is_tensor_irreducible,
     regroupings,
     render,
-    sort_key,
     split,
     tensor,
     tensor_cuts,
@@ -60,10 +58,6 @@ def h(d: PartitionDiagram) -> ParSymElement:
     return ParSymElement.basis(d)
 
 
-def multiply(a: ParSymElement, b: ParSymElement) -> ParSymElement:
-    return a * b
-
-
 def _factors(d: PartitionDiagram) -> list[PartitionDiagram]:
     # the tensor-irreducible generators of a word; none for the empty word
     return tensor_factorize(d) if d.order else []
@@ -79,15 +73,6 @@ def _generator_split_pairs(pi: PartitionDiagram) -> tuple[tuple[PartitionDiagram
         (EMPTY_DIAGRAM, pi),
         *(tuple(split(pi, [c])) for c in bullet_cuts(pi)),
         (pi, EMPTY_DIAGRAM),
-    )
-
-
-def coproduct_pairs(pi: PartitionDiagram) -> list[tuple[PartitionDiagram, PartitionDiagram]]:
-    """Production split-pairs of an irreducible generator, sorted."""
-    if not is_tensor_irreducible(pi):
-        raise ValueError("expected a tensor-irreducible diagram")
-    return sorted(
-        _generator_split_pairs(pi), key=lambda p: (sort_key(p[0]), sort_key(p[1]))
     )
 
 

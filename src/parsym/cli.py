@@ -108,7 +108,7 @@ def _terms_out(rows: Iterable[tuple], as_json: bool) -> None:
 
 
 def _words_out(el: algebra.ParSymElement, as_json: bool) -> None:
-    # the key (order, text) is diagrams.sort_key, and its text is the row's
+    # rows sort by degree, then canonical text, which is also the row's text
     _terms_out(((d.order, render(d), c) for d, c in el.terms.items()), as_json)
 
 

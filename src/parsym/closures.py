@@ -48,11 +48,6 @@ GENERATOR_COUNT_CAP = 6
 M_DISTRIBUTION_CAP = 4
 
 
-def is_primitive_basis_diagram(d: PartitionDiagram) -> bool:
-    """H_d is primitive iff d is tensor-irreducible with bullet statistic 1."""
-    return not d.is_empty() and not tensor_cuts(d) and m_statistic(d) == 1
-
-
 @dataclass(frozen=True)
 class DegreeChecks:
     tensor_closed: bool

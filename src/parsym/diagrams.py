@@ -34,7 +34,6 @@ bullet decomposition, whose length is the statistic m(d).
 from __future__ import annotations
 
 import functools
-import os
 import re
 from itertools import accumulate, compress, product
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -46,14 +45,6 @@ _NODE_RE = re.compile(r"^([0-9]+)(')?$")
 
 class CapExceeded(ValueError):
     """An operation refused to run past its configured size cap."""
-
-
-def global_max_order() -> int:
-    """The enumeration order cap, overridable via PARSYM_MAX_ORDER."""
-    value = os.environ.get("PARSYM_MAX_ORDER")
-    if value is None:
-        return DEFAULT_MAX_ORDER
-    return int(value)
 
 
 def node_name(v: int) -> str:
@@ -160,11 +151,6 @@ def identity_diagram(k: int) -> PartitionDiagram:
     return PartitionDiagram(k, [(i, -i) for i in range(1, k + 1)])
 
 
-def sort_key(d: PartitionDiagram) -> tuple[int, str]:
-    """Deterministic report order: degree first, then canonical text."""
-    return (d.order, render(d))
-
-
 # ---------------------------------------------------------------------------
 # text and JSON forms
 
@@ -238,7 +224,7 @@ class GrowthRule(NamedTuple):
 
 
 def _check_order(k: int, max_order: int | None) -> None:
-    cap = global_max_order() if max_order is None else max_order
+    cap = DEFAULT_MAX_ORDER if max_order is None else max_order
     if k < 0:
         raise ValueError("order must be nonnegative")
     if k > cap:
@@ -253,8 +239,8 @@ def enumerate_diagrams(
     count is the Bell number of 2k.  With a ``rule``, yield only the
     diagrams it admits, in the same order.  The walk is a lazy depth-first
     loop over one label string; ``count_diagrams`` stops the same walk one
-    node early and builds no diagram.  Refuses k beyond the cap (default 6,
-    env PARSYM_MAX_ORDER)."""
+    node early and builds no diagram.  Refuses k beyond the cap, ``max_order``
+    (default 6)."""
     _check_order(k, max_order)
     # blocks open in slot order, so the labels are already an RGS
     walk = _walk(_slots(k)[0], rule or GrowthRule(_always), 2 * k)

@@ -5,9 +5,9 @@ Basis words are integer compositions (tuples of positive ints); the product
 concatenates, and ``FreeHopf.on_generators`` extends Delta on a one-part
 generator, the full binomial-style sum H_i (x) H_{n-i}, to words.  The
 antipode sends H_alpha to the signed sum of H_beta over the refinements beta
-of reversed alpha.  ``nsym_coproduct``, ``nsym_antipode`` and ``nsym_counit``
-are ``NSYM``'s methods.  The elementary generators E_n are implemented both
-by their recursion and by the closed signed-sum formula.
+of reversed alpha, so (-1)^n S(H_n) is the elementary generator E_n.
+``nsym_coproduct``, ``nsym_antipode`` and ``nsym_counit`` are ``NSYM``'s
+methods; the product is ``a * b``.
 
 Bridges:
 
@@ -77,10 +77,6 @@ def nsym_h(alpha: Composition) -> NSymElement:
     return NSymElement.basis(alpha)
 
 
-def nsym_multiply(a: NSymElement, b: NSymElement) -> NSymElement:
-    return a * b
-
-
 def _coproduct_generator(n: int) -> NSymTensor:
     return NSymTensor(
         {(((i,) if i else ()), ((n - i,) if n - i else ())): 1 for i in range(n + 1)}
@@ -108,33 +104,6 @@ NSYM = FreeHopf.on_generators(
     render=lambda alpha: "H" + render_composition(alpha),
 )
 nsym_coproduct, nsym_antipode, nsym_counit = NSYM.coproduct, NSYM.antipode, NSYM.counit
-
-
-def nsym_e(n: int) -> NSymElement:
-    """Elementary generator by the recursion E_n = sum (-1)^(i+1) H_i E_(n-i)."""
-    if n < 1:
-        raise ValueError("n must be positive")
-
-    @functools.cache
-    def rec(m: int) -> NSymElement:
-        if m == 0:
-            return NSymElement.one()
-        out = NSymElement.zero()
-        for i in range(1, m + 1):
-            sign = 1 if i % 2 else -1
-            out = out + sign * (nsym_h((i,)) * rec(m - i))
-        return out
-
-    return rec(n)
-
-
-def nsym_e_closed(n: int) -> NSymElement:
-    """Elementary generator by the closed form, a signed composition sum."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    return NSymElement(
-        {alpha: -1 if (len(alpha) + n) % 2 else 1 for alpha in compositions(n)}
-    )
 
 
 def zeta_nsym(a: NSymElement) -> int:

@@ -1,15 +1,15 @@
 """Exact integer sequence machinery: Bell numbers, the Boolean transform,
-irreducible-generator counts, truncated power series, and the closed
-dimension formulas of the diagram families.
+irreducible-generator counts, the generating-function identity check, and
+the closed dimension formulas of the diagram families.
 
 Sequences are plain lists of Python ints read 1-based: ``terms[0]`` is the
 value at n = 1.  Everything here is exact; no floats.
 
 The Boolean transform b of a sequence a is defined by the generating
-function identity  sum b_n x^n = 1 - 1/(1 + sum a_n x^n),  equivalently by
-the recursion  b_n = a_n - sum_{alpha |= n, alpha != (n)} b_a1 ... b_al
-over proper compositions.  Both are implemented (the convolution recurrence
-b_n = a_n - sum_{j<n} b_j a_{n-j} is the production path) and cross-checked.
+function identity  sum b_n x^n = 1 - 1/(1 + sum a_n x^n),  and computed by
+the convolution recurrence  b_n = a_n - sum_{j<n} b_j a_{n-j}.
+``verify_gf_identity`` checks the irreducible counts against the identity
+itself, through the reciprocal's coefficient recurrence.
 """
 
 from __future__ import annotations
@@ -85,44 +85,6 @@ def boolean_transform(terms: Sequence[int]) -> list[int]:
     return out
 
 
-def boolean_transform_by_compositions(terms: Sequence[int]) -> list[int]:
-    """The same transform via the proper-composition recursion (test route)."""
-    out: list[int] = []
-    for n in range(1, len(terms) + 1):
-        value = terms[n - 1]
-        for alpha in compositions(n):
-            if alpha == (n,):
-                continue
-            prod = 1
-            for part in alpha:
-                prod *= out[part - 1]
-            value -= prod
-        out.append(value)
-    return out
-
-
-def boolean_transform_by_series(terms: Sequence[int]) -> list[int]:
-    """The same transform straight from the generating-function definition."""
-    n = len(terms)
-    a = TruncatedSeries((1, *terms), n)
-    b = TruncatedSeries.one(n) - a.reciprocal()
-    return list(b.coefficients[1:])
-
-
-def inverse_boolean_transform(terms: Sequence[int]) -> list[int]:
-    """Forward composition sum a_n = sum_{alpha |= n} b_a1 ... b_al."""
-    out: list[int] = []
-    for n in range(1, len(terms) + 1):
-        value = 0
-        for alpha in compositions(n):
-            prod = 1
-            for part in alpha:
-                prod *= terms[part - 1]
-            value += prod
-        out.append(value)
-    return out
-
-
 def irreducible_count(k: int) -> int:
     """Number a_k of tensor-irreducible diagrams of order k."""
     if k < 1:
@@ -134,86 +96,6 @@ def irreducible_count_sequence(n: int) -> list[int]:
     """a_1, ..., a_n: the Boolean transform of the even Bell numbers, since
     the algebra is free on the tensor-irreducible diagrams."""
     return boolean_transform(even_bell_sequence(n))
-
-
-class TruncatedSeries:
-    """Formal power series over the integers, exact modulo x^(N+1)."""
-
-    __slots__ = ("coefficients", "truncation_order")
-
-    def __init__(self, coefficients: Sequence[int], truncation_order: int):
-        if truncation_order < 0:
-            raise ValueError("truncation order must be nonnegative")
-        coeffs = list(coefficients)[: truncation_order + 1]
-        coeffs += [0] * (truncation_order + 1 - len(coeffs))
-        self.coefficients = tuple(coeffs)
-        self.truncation_order = truncation_order
-
-    @classmethod
-    def one(cls, truncation_order: int) -> "TruncatedSeries":
-        return cls((1,), truncation_order)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TruncatedSeries)
-            and self.truncation_order == other.truncation_order
-            and self.coefficients == other.coefficients
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.coefficients, self.truncation_order))
-
-    def __repr__(self) -> str:
-        return f"TruncatedSeries({list(self.coefficients)}, {self.truncation_order})"
-
-    def _coerce(self, other) -> "TruncatedSeries":
-        if isinstance(other, int):
-            return TruncatedSeries((other,), self.truncation_order)
-        if other.truncation_order != self.truncation_order:
-            raise ValueError("truncation order mismatch")
-        return other
-
-    def __add__(self, other) -> "TruncatedSeries":
-        other = self._coerce(other)
-        return TruncatedSeries(
-            [x + y for x, y in zip(self.coefficients, other.coefficients)],
-            self.truncation_order,
-        )
-
-    def __sub__(self, other) -> "TruncatedSeries":
-        other = self._coerce(other)
-        return TruncatedSeries(
-            [x - y for x, y in zip(self.coefficients, other.coefficients)],
-            self.truncation_order,
-        )
-
-    def __rsub__(self, other) -> "TruncatedSeries":
-        return self._coerce(other) - self
-
-    def __mul__(self, other) -> "TruncatedSeries":
-        other = self._coerce(other)
-        n = self.truncation_order
-        out = [0] * (n + 1)
-        for i, x in enumerate(self.coefficients):
-            if x == 0:
-                continue
-            for j in range(n + 1 - i):
-                out[i + j] += x * other.coefficients[j]
-        return TruncatedSeries(out, n)
-
-    def reciprocal(self) -> "TruncatedSeries":
-        """Exact inverse; requires constant term 1 or -1."""
-        c0 = self.coefficients[0]
-        if c0 not in (1, -1):
-            raise ValueError("reciprocal needs unit constant term")
-        n = self.truncation_order
-        out = [c0] + [0] * n
-        for m in range(1, n + 1):
-            acc = 0
-            for i in range(1, m + 1):
-                acc += self.coefficients[i] * out[m - i]
-            out[m] = -c0 * acc
-        return TruncatedSeries(out, n)
 
 
 @dataclass(frozen=True)
@@ -241,22 +123,17 @@ def verify_gf_identity(n: int) -> GfReport:
     irreducible-count sequence to order n and compare coefficients."""
     if n < 1:
         raise ValueError("truncation order must be at least 1")
-    lhs = TruncatedSeries((0, *irreducible_count_sequence(n)), n)
-    dims = TruncatedSeries((1, *even_bell_sequence(n)), n)
-    rhs = TruncatedSeries.one(n) - dims.reciprocal()
-    return GfReport(n, lhs.coefficients, rhs.coefficients)
+    dims = (1, *even_bell_sequence(n))
+    # inv = 1/(1 + sum B_2k x^k):  inv_m = -sum_{1<=i<=m} B_2i inv_{m-i}
+    inv = [1]
+    for m in range(1, n + 1):
+        inv.append(-sum(dims[i] * inv[m - i] for i in range(1, m + 1)))
+    rhs = (0, *(-c for c in inv[1:]))
+    return GfReport(n, (0, *irreducible_count_sequence(n)), rhs)
 
 
 # ---------------------------------------------------------------------------
 # dimension sequences of the families with a closed form
-
-
-def double_factorial_odd(i: int) -> int:
-    """(2i - 1)!! with the empty product (-1)!! = 1."""
-    out = 1
-    for j in range(1, 2 * i, 2):
-        out *= j
-    return out
 
 
 def family_dimension(family: Family, k: int) -> int:

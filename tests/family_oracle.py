@@ -6,13 +6,71 @@ family by a transfer count over open blocks.  The library defines each
 family only by its ``GrowthRule``; the tests compare ``family_member``,
 ``enumerate_family``, ``count_family`` and ``family_dimension_sequence``
 against these.
+
+It also holds routes the library does not need: the Boolean transform by
+the proper-composition recursion and by its generating function (the
+library uses one convolution recurrence), its inverse, the odd double
+factorials, and the primitive basis diagrams by their bullet statistic.
 """
 
 import math
+from typing import Sequence
 
-from parsym.diagrams import PartitionDiagram
+from parsym.diagrams import PartitionDiagram, m_statistic, tensor_cuts
 from parsym.families import Family
-from parsym.sequences import bell, double_factorial_odd
+from parsym.sequences import bell, compositions
+
+
+def double_factorial_odd(i: int) -> int:
+    """(2i - 1)!! with the empty product (-1)!! = 1."""
+    out = 1
+    for j in range(1, 2 * i, 2):
+        out *= j
+    return out
+
+
+def boolean_transform_by_compositions(terms: Sequence[int]) -> list[int]:
+    """b_n = a_n - sum over the proper compositions alpha of n of b_a1 ... b_al."""
+    out: list[int] = []
+    for n in range(1, len(terms) + 1):
+        value = terms[n - 1]
+        for alpha in compositions(n):
+            if alpha == (n,):
+                continue
+            prod = 1
+            for part in alpha:
+                prod *= out[part - 1]
+            value -= prod
+        out.append(value)
+    return out
+
+
+def boolean_transform_by_series(terms: Sequence[int]) -> list[int]:
+    """The coefficients of 1 - 1/(1 + sum a_n x^n) at x^1, ..., x^n."""
+    series = (1, *terms)
+    reciprocal = [1]
+    for m in range(1, len(series)):
+        reciprocal.append(-sum(series[i] * reciprocal[m - i] for i in range(1, m + 1)))
+    return [-c for c in reciprocal[1:]]
+
+
+def inverse_boolean_transform(terms: Sequence[int]) -> list[int]:
+    """Forward composition sum a_n = sum_{alpha |= n} b_a1 ... b_al."""
+    out: list[int] = []
+    for n in range(1, len(terms) + 1):
+        value = 0
+        for alpha in compositions(n):
+            prod = 1
+            for part in alpha:
+                prod *= terms[part - 1]
+            value += prod
+        out.append(value)
+    return out
+
+
+def is_primitive_basis_diagram(d: PartitionDiagram) -> bool:
+    """H_d is primitive iff d is tensor-irreducible with bullet statistic 1."""
+    return not d.is_empty() and not tensor_cuts(d) and m_statistic(d) == 1
 
 
 def _is_permutation(d: PartitionDiagram) -> bool:

@@ -11,8 +11,9 @@ and extend multiplicatively over the tensor factors with a plain
 It also holds the brute-force checks the library no longer carries: the
 split pairs found by multiplying out every pair of complementary orders,
 Bareiss elimination for the E-to-H determinant, the per-word closure
-check that builds the coproduct and antipode of every family member, and
-Takeuchi's formula over full tuples of coproduct legs.
+check that builds the coproduct and antipode of every family member,
+Takeuchi's formula over full tuples of coproduct legs, and NSym's
+elementary generators by their recursion.
 """
 
 import functools
@@ -30,11 +31,12 @@ from parsym.diagrams import (
     bullet_fold,
     enumerate_diagrams,
     is_tensor_irreducible,
-    sort_key,
+    render,
     tensor,
     tensor_factorize,
 )
 from parsym.families import Family, enumerate_family, family_member
+from parsym.nsym import NSymElement, nsym_h
 from parsym.sequences import compositions
 
 DEFAULT_ORACLE_CAP = 5
@@ -118,7 +120,7 @@ def coproduct_pairs_oracle(
     if pi.order > max_order:
         raise CapExceeded(f"oracle capped at order {max_order}")
     found = [(EMPTY_DIAGRAM, pi), (pi, EMPTY_DIAGRAM), *_bullet_preimages(pi.order).get(pi, ())]
-    return sorted(found, key=lambda p: (sort_key(p[0]), sort_key(p[1])))
+    return sorted(found, key=lambda p: (p[0].order, render(p[0]), p[1].order, render(p[1])))
 
 
 def _det_bareiss(rows: list[list[int]]) -> int:
@@ -181,3 +183,21 @@ def closure_oracle(family: Family, max_degree: int) -> ClosureReport:
                 counterexample = counterexample or (d, "antipode")
         checks[degree] = DegreeChecks(tensor_ok, delta_ok, antipode_ok, primitive)
     return ClosureReport(family, max_degree, checks, counterexample)
+
+
+def nsym_e(n: int) -> NSymElement:
+    """Elementary generator by the recursion E_n = sum (-1)^(i+1) H_i E_(n-i)."""
+    if n < 1:
+        raise ValueError("n must be positive")
+
+    @functools.cache
+    def rec(m: int) -> NSymElement:
+        if m == 0:
+            return NSymElement.one()
+        out = NSymElement.zero()
+        for i in range(1, m + 1):
+            sign = 1 if i % 2 else -1
+            out = out + sign * (nsym_h((i,)) * rec(m - i))
+        return out
+
+    return rec(n)

@@ -11,12 +11,10 @@ from parsym.algebra import (
     antipode,
     character_zeta,
     coproduct,
-    coproduct_pairs,
     counit,
     e_basis_expand,
     e_h_matrix,
     h,
-    multiply,
     takeuchi_antipode,
     verify_hopf_axioms,
 )
@@ -54,7 +52,7 @@ def basis_up_to(n):
 
 class TestProduct:
     def test_basis_product(self):
-        assert multiply(h(ID1), h(ID1)) == h(parse("1,1'/2,2'"))
+        assert h(ID1) * h(ID1) == h(parse("1,1'/2,2'"))
 
     def test_bilinearity(self):
         assert (2 * h(ID1)) * (3 * h(SINGLETONS)) == 6 * h(parse("1,1'/2/2'"))
@@ -104,12 +102,12 @@ class TestCoproduct:
     def test_split_pairs_match_oracle_up_to_order_three(self):
         for d in basis_up_to(3):
             if is_tensor_irreducible(d):
-                assert coproduct_pairs(d) == coproduct_pairs_oracle(d)
+                assert coproduct(h(d)).terms == dict.fromkeys(coproduct_pairs_oracle(d), 1)
 
     def test_split_pairs_match_oracle_order_four(self):
         for d in all_diagrams(4):
             if is_tensor_irreducible(d):
-                assert coproduct_pairs(d) == coproduct_pairs_oracle(d)
+                assert coproduct(h(d)).terms == dict.fromkeys(coproduct_pairs_oracle(d), 1)
 
     def test_split_pairs_match_oracle_order_five_sample(self):
         # random generators, most with no bullet cut, and bullet products
@@ -130,7 +128,7 @@ class TestCoproduct:
             i = rng.randint(1, 4)
             sample.append(bullet(rng.choice(irreducible[i]), rng.choice(irreducible[5 - i])))
         for d in sample:
-            assert coproduct_pairs(d) == coproduct_pairs_oracle(d)
+            assert coproduct(h(d)).terms == dict.fromkeys(coproduct_pairs_oracle(d), 1)
 
     def test_oracle_examples(self):
         assert coproduct_pairs_oracle(SINGLETONS) == [

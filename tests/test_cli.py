@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from family_oracle import boolean_transform_by_series
 
 import parsym
 from parsym import algebra, closures, sequences
@@ -14,12 +15,7 @@ from parsym.closures import ClosureReport, DegreeChecks
 from parsym.diagrams import PartitionDiagram, parse, render, tensor_fold
 from parsym.families import Family
 from parsym.hopfcheck import AxiomReport, AxiomResult
-from parsym.sequences import (
-    GfReport,
-    boolean_transform_by_series,
-    even_bell_sequence,
-    irreducible_count_sequence,
-)
+from parsym.sequences import GfReport, even_bell_sequence, irreducible_count_sequence
 
 
 # subprocesses import the package under test, whether installed or not
@@ -204,9 +200,8 @@ class TestEnumerateCount:
         )
         assert out == "7\n"
 
-    def test_cap_and_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("PARSYM_MAX_ORDER", "1")
-        code, _, err = run_cli(capsys, "count", "--order", "2")
+    def test_cap_and_override(self, capsys):
+        code, _, err = run_cli(capsys, "count", "--order", "2", "--max-order", "1")
         assert code == 2 and "cap" in err
         code, out, _ = run_cli(capsys, "count", "--order", "2", "--max-order", "2")
         assert (code, out) == (0, "15\n")
@@ -229,11 +224,10 @@ class TestEnumerateCount:
             assert out == json.dumps(lines) + "\n"
 
     @pytest.mark.parametrize("flag", ["--irreducible", "--bullet-irreducible"])
-    def test_both_count_paths_share_the_cap(self, capsys, monkeypatch, flag):
+    def test_both_count_paths_share_the_cap(self, capsys, flag):
         code, _, err = run_cli(capsys, "count", "--order", "7", flag)
         assert (code, err) == (2, "error: order 7 exceeds enumeration cap 6\n")
-        monkeypatch.setenv("PARSYM_MAX_ORDER", "1")
-        code, _, err = run_cli(capsys, "count", "--order", "2", flag)
+        code, _, err = run_cli(capsys, "count", "--order", "2", "--max-order", "1", flag)
         assert (code, err) == (2, "error: order 2 exceeds enumeration cap 1\n")
         code, out, _ = run_cli(capsys, "count", "--order", "2", "--max-order", "2", flag)
         # 11 diagrams of order 2 are tensor-irreducible, and 11 bullet-irreducible

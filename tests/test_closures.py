@@ -1,14 +1,13 @@
 from math import comb
 
 import pytest
-from family_oracle import oracle_member
+from family_oracle import is_primitive_basis_diagram, oracle_member
 from hopf_oracle import closure_oracle
 
 from parsym import families
 from parsym.closures import (
     closure_report,
     family_generator_counts,
-    is_primitive_basis_diagram,
     m_distribution,
 )
 from parsym.diagrams import (

@@ -156,13 +156,12 @@ class TestEnumeration:
         with pytest.raises(CapExceeded):
             list(enumerate_diagrams(3, max_order=2))
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("PARSYM_MAX_ORDER", "2")
+    def test_max_order_override(self):
         with pytest.raises(CapExceeded):
-            list(enumerate_diagrams(3))
-        assert len(all_diagrams(2)) == 15
+            list(enumerate_diagrams(3, max_order=2))
+        assert len(all_diagrams(2, max_order=2)) == 15
 
-    def test_count_shares_the_cap(self, monkeypatch):
+    def test_count_shares_the_cap(self):
         def refusal(run, *args, **kwargs):
             with pytest.raises(CapExceeded) as info:
                 run(*args, **kwargs)
@@ -171,8 +170,7 @@ class TestEnumeration:
         assert refusal(count_diagrams, 7) == refusal(all_diagrams, 7)
         assert refusal(count_diagrams, 7) == "order 7 exceeds enumeration cap 6"
         assert refusal(count_diagrams, 3, max_order=2) == refusal(all_diagrams, 3, max_order=2)
-        monkeypatch.setenv("PARSYM_MAX_ORDER", "1")
-        assert refusal(count_diagrams, 2) == refusal(all_diagrams, 2)
+        assert refusal(count_diagrams, 2, max_order=1) == refusal(all_diagrams, 2, max_order=1)
         assert count_diagrams(2, max_order=2) == len(all_diagrams(2, max_order=2)) == 15
 
 
