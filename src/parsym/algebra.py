@@ -38,8 +38,8 @@ from .diagrams import (
 )
 from .linear import REGROUPING_CUT_CAP, FreeHopf, LinearCombination, TensorSquare
 
-DEFAULT_TAKEUCHI_CAP = 4
-DEFAULT_MATRIX_CAP = 5
+TAKEUCHI_CAP = 4
+MATRIX_CAP = 5
 
 
 class ParSymElement(LinearCombination):
@@ -109,14 +109,12 @@ PARSYM = FreeHopf.on_generators(
 coproduct, antipode, counit = PARSYM.coproduct, PARSYM.antipode, PARSYM.counit
 
 
-def takeuchi_antipode(
-    a: ParSymElement, max_degree: int = DEFAULT_TAKEUCHI_CAP
-) -> ParSymElement:
+def takeuchi_antipode(a: ParSymElement) -> ParSymElement:
     """Antipode by Takeuchi's alternating sum; independent oracle for
     :func:`antipode`.  Requires a homogeneous element within the cap."""
     degree = PARSYM.homogeneous_degree(a)
-    if degree > max_degree:
-        raise CapExceeded(f"Takeuchi evaluation capped at degree {max_degree}")
+    if degree > TAKEUCHI_CAP:
+        raise CapExceeded(f"Takeuchi evaluation capped at degree {TAKEUCHI_CAP}")
     return hopfcheck.takeuchi(PARSYM, a, degree)
 
 
@@ -144,13 +142,13 @@ class EHMatrix:
     determinant: int
 
 
-def e_h_matrix(n: int, max_degree: int = DEFAULT_MATRIX_CAP) -> EHMatrix:
+def e_h_matrix(n: int) -> EHMatrix:
     """Expand every degree-n E-element in the H-basis over the enumeration
     ordering and report the determinant (a unit iff E is a basis).  Each
     E_w is checked to be +-H_w plus words with more tensor factors, so the
     matrix is triangular by factor count and det is the diagonal product."""
-    if n > max_degree:
-        raise CapExceeded(f"matrix construction capped at degree {max_degree}")
+    if n > MATRIX_CAP:
+        raise CapExceeded(f"matrix construction capped at degree {MATRIX_CAP}")
     basis = tuple(enumerate_diagrams(n))
     index = {d: i for i, d in enumerate(basis)}
     rows = []
@@ -171,6 +169,6 @@ def verify_hopf_axioms(max_degree: int, seed: int = 20240) -> "hopfcheck.AxiomRe
     """Check all Hopf axioms on every basis diagram of order <= max_degree,
     plus seeded random elements and pairs.  See :mod:`parsym.hopfcheck`.
     Refuses degrees above the Takeuchi cap, which the last axiom needs."""
-    if max_degree > DEFAULT_TAKEUCHI_CAP:
-        raise CapExceeded(f"Hopf axiom check capped at degree {DEFAULT_TAKEUCHI_CAP}")
+    if max_degree > TAKEUCHI_CAP:
+        raise CapExceeded(f"Hopf axiom check capped at degree {TAKEUCHI_CAP}")
     return hopfcheck.verify_axioms(PARSYM, max_degree, seed=seed)

@@ -78,11 +78,15 @@ def _diagram_out(d: PartitionDiagram, as_json: bool) -> None:
     print(json.dumps(to_json_obj(d)) if as_json else render(d))
 
 
-def _diagram_list_out(ds: list[PartitionDiagram], as_json: bool) -> None:
+def _diagram_list_out(ds: Iterable[PartitionDiagram], as_json: bool) -> None:
+    # streamed as ds yields; the JSON bytes are those of json.dumps on the list
     if as_json:
-        print(json.dumps([to_json_obj(d) for d in ds]))
+        print("[", end="")
+        for i, d in enumerate(ds):
+            print(", " * (i > 0) + json.dumps(to_json_obj(d)), end="")
+        print("]")
     else:
-        _emit([render(d) for d in ds])
+        _emit(map(render, ds))
 
 
 def _value_out(value, as_json: bool) -> None:
@@ -180,16 +184,17 @@ def _family(ns) -> Family:
 
 
 def _selected_diagrams(ns):
-    for d in enumerate_family(ns.order, _family(ns), max_order=ns.max_order):
-        if ns.irreducible and not is_tensor_irreducible(d):
-            continue
-        if ns.bullet_irreducible and not is_bullet_irreducible(d):
-            continue
-        yield d
+    # not a generator, so the cap check runs at the call, before any output
+    members = enumerate_family(ns.order, _family(ns), max_order=ns.max_order)
+    if ns.irreducible:
+        members = filter(is_tensor_irreducible, members)
+    if ns.bullet_irreducible:
+        members = filter(is_bullet_irreducible, members)
+    return members
 
 
 def _run_enumerate(ns) -> int:
-    _diagram_list_out(list(_selected_diagrams(ns)), ns.json)
+    _diagram_list_out(_selected_diagrams(ns), ns.json)
     return 0
 
 

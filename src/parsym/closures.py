@@ -45,7 +45,6 @@ from .sequences import boolean_transform
 
 CLOSURE_CAP = 5
 GENERATOR_COUNT_CAP = 6
-M_DISTRIBUTION_CAP = 4
 
 
 @dataclass(frozen=True)
@@ -138,9 +137,7 @@ def family_generator_counts(family: Family, max_k: int) -> list[int]:
 
 def m_distribution(k: int, family: Family, max_order: int | None = None) -> dict[int, int]:
     """Histogram of the bullet statistic over family members of order k,
-    refused past ``max_order`` (by default ``M_DISTRIBUTION_CAP``)."""
-    if max_order is None:
-        max_order = M_DISTRIBUTION_CAP
+    refused past ``max_order``, by default the enumeration cap."""
     histogram: dict[int, int] = {}
     for d in enumerate_family(k, family, max_order=max_order):
         value = m_statistic(d)

@@ -60,8 +60,8 @@ class LinearCombination:
         return cls.basis(cls.unit)
 
     @classmethod
-    def basis(cls, key, coeff: int = 1):
-        return cls({key: coeff})
+    def basis(cls, key):
+        return cls({key: 1})
 
     def __bool__(self) -> bool:
         return bool(self.terms)

@@ -16,7 +16,7 @@ Bridges:
 * ``chi``  -- projects a diagram word to the composition of bullet-statistic
   values of its tensor factors;
 * ``qsym_image`` -- the quasisymmetric shadow on the monomial basis, taken
-  through ``chi`` and evaluated by multigraded iterated coproducts.
+  through ``chi`` and read off the iterated coproduct, legs folded to degrees.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .sequences import compositions
 
 Composition = tuple[int, ...]
 
-DEFAULT_QSYM_CAP = 4
+QSYM_CAP = 4
 
 _COMPOSITION_RE = re.compile(r"^\(\s*\)$|^\(\s*[0-9]+(\s*,\s*[0-9]+)*\s*\)$")
 
@@ -143,35 +143,27 @@ def chi(a: ParSymElement) -> NSymElement:
 
 @functools.lru_cache(maxsize=None)
 def _qsym_word(alpha: Composition) -> QSymImage:
-    # coefficient of M_beta = coefficient sum of the beta-multigraded
-    # component of the iterated coproduct, i.e. the evaluation sending
-    # every one-part generator to 1 (so H_n lands on sum over beta of M_beta)
-    n = sum(alpha)
-    if n == 0:
+    # the canonical character is 1 on every H_n, so the coefficient of M_beta
+    # is the coefficient sum of the iterated-coproduct terms whose legs have
+    # degrees beta: fold each leg but the last to its degree
+    if not alpha:
         return QSymImage({(): 1})
-    iterated = hopfcheck.iterated_coproducts(NSYM, nsym_h(alpha))
-    terms = (
-        (tuple(sum(part) for part in tup), coeff)
-        for legs in itertools.islice(iterated, n)
-        for tup, coeff in legs.terms.items()
-    )
-    return QSymImage((weights, c) for weights, c in terms if all(weights))
+    walk = hopfcheck.folded_coproducts(NSYM, nsym_h(alpha), lambda p, leg: p + (sum(leg),), ())
+    return QSymImage((p + (sum(y),), c) for pairs in walk for (p, y), c in pairs.terms.items())
 
 
-def qsym_image(
-    a: ParSymElement | NSymElement, max_degree: int = DEFAULT_QSYM_CAP
-) -> QSymImage:
+def qsym_image(a: ParSymElement | NSymElement) -> QSymImage:
     """Image under the canonical morphism to quasisymmetric functions, as
     monomial-basis coefficients.  Diagram elements are first projected by
-    ``chi``; the input must be homogeneous and within the degree cap."""
+    ``chi``; the input must be homogeneous of degree at most ``QSYM_CAP``."""
     if isinstance(a, ParSymElement):
         degree, b = PARSYM.homogeneous_degree(a), chi(a)
     elif isinstance(a, NSymElement):
         degree, b = NSYM.homogeneous_degree(a), a
     else:
         raise TypeError("expected a ParSym or NSym element")
-    if degree > max_degree:
-        raise CapExceeded(f"qsym image capped at degree {max_degree}")
+    if degree > QSYM_CAP:
+        raise CapExceeded(f"qsym image capped at degree {QSYM_CAP}")
     return b.extend(_qsym_word, QSymImage)
 
 

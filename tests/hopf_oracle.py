@@ -12,14 +12,15 @@ It also holds the brute-force checks the library no longer carries: the
 split pairs found by multiplying out every pair of complementary orders,
 Bareiss elimination for the E-to-H determinant, the per-word closure
 check that builds the coproduct and antipode of every family member,
-Takeuchi's formula over full tuples of coproduct legs, and NSym's
-elementary generators by their recursion.
+Takeuchi's formula and the QSym image over full tuples of coproduct legs,
+the QSym image again by counting integer matrices, and NSym's elementary
+generators by their recursion.
 """
 
 import functools
+import itertools
 import operator
 
-from parsym import hopfcheck
 from parsym.algebra import PARSYM, ParSymElement
 from parsym.closures import ClosureReport, DegreeChecks
 from parsym.diagrams import (
@@ -36,10 +37,24 @@ from parsym.diagrams import (
     tensor_factorize,
 )
 from parsym.families import Family, enumerate_family, family_member
-from parsym.nsym import NSymElement, nsym_h
+from parsym.linear import LinearCombination
+from parsym.nsym import NSYM, NSymElement, QSymImage, nsym_h
 from parsym.sequences import compositions
 
 DEFAULT_ORACLE_CAP = 5
+
+
+def iterated_coproducts(hopf, a):
+    """The coproduct iterated to 1, 2, 3, ... tensor legs (keys become
+    tuples of basis keys), each from the one before; the first is a itself."""
+    out = LinearCombination({(key,): coeff for key, coeff in a.terms.items()})
+    while True:
+        yield out
+        out = LinearCombination(
+            (tup[:-1] + pair, coeff * c)
+            for tup, coeff in out.terms.items()
+            for pair, c in hopf.coproduct_word(tup[-1]).terms.items()
+        )
 
 
 def takeuchi_oracle(hopf, a, degree: int):
@@ -48,7 +63,7 @@ def takeuchi_oracle(hopf, a, degree: int):
     and multiplied out leg by leg; the sum stops at k = degree."""
     mul = hopf.element._mul_key
     result = hopf.element((key, c) for key, c in a.terms.items() if hopf.degree(key) == 0)
-    for k, legs in zip(range(1, degree + 1), hopfcheck.iterated_coproducts(hopf, a)):
+    for k, legs in zip(range(1, degree + 1), iterated_coproducts(hopf, a)):
         result = result + hopf.element(
             (functools.reduce(mul, tup), (-1) ** k * coeff)
             for tup, coeff in legs.terms.items()
@@ -183,6 +198,44 @@ def closure_oracle(family: Family, max_degree: int) -> ClosureReport:
                 counterexample = counterexample or (d, "antipode")
         checks[degree] = DegreeChecks(tensor_ok, delta_ok, antipode_ok, primitive)
     return ClosureReport(family, max_degree, checks, counterexample)
+
+
+def qsym_word_oracle(alpha: tuple[int, ...]) -> QSymImage:
+    """The QSym image of H_alpha from the tuple form: the coefficient of
+    M_beta sums the coefficients of the (len beta)-leg terms of the iterated
+    coproduct whose legs have degrees beta."""
+    n = sum(alpha)
+    if n == 0:
+        return QSymImage({(): 1})
+    terms = (
+        (tuple(map(sum, tup)), coeff)
+        for legs in itertools.islice(iterated_coproducts(NSYM, nsym_h(alpha)), n)
+        for tup, coeff in legs.terms.items()
+    )
+    return QSymImage((weights, c) for weights, c in terms if all(weights))
+
+
+def qsym_matrix_count(alpha: tuple[int, ...]) -> QSymImage:
+    """The QSym image of H_alpha counted without a coproduct: the coefficient
+    of M_beta is the number of matrices over the nonnegative integers with
+    row sums alpha and column sums beta."""
+
+    def vectors(total, caps):
+        # nonnegative vectors of this sum, entry j at most caps[j]
+        if not caps:
+            if total == 0:
+                yield ()
+            return
+        for first in range(min(total, caps[0]) + 1):
+            for rest in vectors(total - first, caps[1:]):
+                yield (first,) + rest
+
+    def count(rows, cols):
+        if not rows:
+            return int(not any(cols))
+        return sum(count(rows[1:], tuple(map(operator.sub, cols, v))) for v in vectors(rows[0], cols))
+
+    return QSymImage({beta: count(alpha, beta) for beta in compositions(sum(alpha))})
 
 
 def nsym_e(n: int) -> NSymElement:

@@ -4,7 +4,7 @@ line.  Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 
 import time
 
-from hopf_oracle import coproduct_pairs_oracle
+from hopf_oracle import _bullet_preimages, coproduct_pairs_oracle
 
 from parsym.algebra import (
     DiagramTensor,
@@ -253,7 +253,8 @@ def test_criterion_12_property_suites():
         folded = [tensor_fold(w) for w in words(k)]
         level = list(enumerate_diagrams(k))
         assert len(folded) == len(set(folded)) == len(level)
-    # unique bullet decomposition: brute-force split counts equal m - 1
+    # unique bullet decomposition: the interior splits d = x . y, read from the
+    # brute-force table of every product of lower orders, number m - 1
     from parsym.diagrams import bullet_decompose, is_bullet_irreducible
 
     for k in range(1, 4):
@@ -261,12 +262,5 @@ def test_criterion_12_property_suites():
             factors = bullet_decompose(d)
             assert bullet_fold(factors) == d
             assert all(is_bullet_irreducible(f) for f in factors)
-            interior = sum(
-                1
-                for i in range(1, k)
-                for x in enumerate_diagrams(i)
-                for y in enumerate_diagrams(k - i)
-                if bullet(x, y) == d
-            )
-            assert interior == m_statistic(d) - 1
+            assert len(_bullet_preimages(k).get(d, ())) == m_statistic(d) - 1
     report(12, "associativity, matching identities, irreducibility and uniqueness oracles pass")

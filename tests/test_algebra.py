@@ -207,7 +207,7 @@ class TestAntipode:
 
     def test_takeuchi_cap(self):
         with pytest.raises(CapExceeded):
-            takeuchi_antipode(h(identity_diagram(5)), max_degree=4)
+            takeuchi_antipode(h(identity_diagram(5)))
 
     def test_degree_preserved(self):
         for d in basis_up_to(3):

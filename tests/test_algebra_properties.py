@@ -15,15 +15,15 @@ from hopf_oracle import antipode_oracle, e_basis_oracle, split_pairs_oracle
 from test_diagram_properties import partitions
 from test_families import member_products
 
-from parsym import algebra
+from parsym import algebra, hopfcheck
 from parsym.algebra import (
+    PARSYM,
     ParSymElement,
     antipode,
     coproduct,
     counit,
     e_basis_expand,
     h,
-    takeuchi_antipode,
 )
 from parsym.diagrams import (
     EMPTY_DIAGRAM,
@@ -138,9 +138,10 @@ def test_antipode_composites(d):
 @settings(PROPERTIES, max_examples=50)
 @given(words.filter(lambda d: 5 <= d.order <= 6))
 def test_takeuchi_beyond_harness_cap(d):
-    # the axiom harness stops at degree 4; single words of degree 5-6 cost at
-    # most some 30 ms, most of this test's time goes to drawing them
-    assert takeuchi_antipode(h(d), max_degree=6) == antipode(h(d))
+    # the axiom harness and takeuchi_antipode stop at degree 4, so this calls
+    # the sum both run; single words of degree 5-6 cost at most some 30 ms,
+    # most of this test's time goes to drawing them
+    assert hopfcheck.takeuchi(PARSYM, h(d), d.order) == antipode(h(d))
 
 
 @settings(PROPERTIES, max_examples=20)
@@ -148,4 +149,4 @@ def test_takeuchi_beyond_harness_cap(d):
 def test_axioms_on_homogeneous_sums(a):
     _assert_coassociative(a)
     _assert_antipode_composites(a)
-    assert takeuchi_antipode(a, max_degree=6) == antipode(a)
+    assert hopfcheck.takeuchi(PARSYM, a, PARSYM.homogeneous_degree(a)) == antipode(a)

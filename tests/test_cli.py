@@ -9,10 +9,10 @@ import pytest
 from family_oracle import boolean_transform_by_series
 
 import parsym
-from parsym import algebra, closures, sequences
+from parsym import algebra, cli, closures, sequences
 from parsym.cli import CLOSURE_FAMILIES, PHI_ORDER_CAP, SEQUENCE_NESTING_CAP, main
 from parsym.closures import ClosureReport, DegreeChecks
-from parsym.diagrams import PartitionDiagram, parse, render, tensor_fold
+from parsym.diagrams import PartitionDiagram, enumerate_diagrams, parse, render, tensor_fold, to_json_obj
 from parsym.families import Family
 from parsym.hopfcheck import AxiomReport, AxiomResult
 from parsym.sequences import GfReport, even_bell_sequence, irreducible_count_sequence
@@ -180,11 +180,31 @@ class TestEnumerateCount:
         assert out == "1,1'\n1/1'\n"
 
     def test_enumerate_json(self, capsys):
+        # the streamed items join into the bytes of one json.dumps, [] included
         _, out, _ = run_cli(capsys, "enumerate", "--order", "1", "--json")
-        assert json.loads(out) == [
+        assert out == json.dumps([
             {"order": 1, "blocks": [[1, -1]]},
             {"order": 1, "blocks": [[1], [-1]]},
-        ]
+        ]) + "\n"
+        _, out, _ = run_cli(capsys, "enumerate", "--order", "0", "--irreducible", "--json")
+        assert out == "[]\n"
+
+    def test_enumerate_streams(self, capsys, monkeypatch):
+        # each diagram prints as the walk yields it, so a walk that fails
+        # after three diagrams has printed them; the cap check prints nothing
+        first = list(enumerate_diagrams(2))[:3]
+
+        def failing_walk(k, family, max_order=None):
+            yield from first
+            raise ValueError("walk failed")
+
+        code, out, err = run_cli(capsys, "enumerate", "--order", "7", "--json")
+        assert (code, out, err) == (2, "", "error: order 7 exceeds enumeration cap 6\n")
+        monkeypatch.setattr(cli, "enumerate_family", failing_walk)
+        code, out, err = run_cli(capsys, "enumerate", "--order", "2")
+        assert (code, out, err) == (2, "".join(render(d) + "\n" for d in first), "error: walk failed\n")
+        code, out, _ = run_cli(capsys, "enumerate", "--order", "2", "--json")
+        assert (code, out) == (2, "[" + ", ".join(json.dumps(to_json_obj(d)) for d in first))
 
     def test_count_filters(self, capsys):
         _, out, _ = run_cli(capsys, "count", "--order", "2")
@@ -431,6 +451,13 @@ class TestHist:
     def test_unknown_stat(self, capsys):
         code, _, err = run_cli(capsys, "hist", "q", "--order", "2")
         assert code == 2
+
+    def test_enumeration_cap(self, capsys):
+        # hist walks the members enumerate lists, under the same cap
+        code, out, err = run_cli(capsys, "hist", "m", "--order", "7")
+        assert (code, out, err) == (2, "", "error: order 7 exceeds enumeration cap 6\n")
+        code, out, err = run_cli(capsys, "hist", "m", "--order", "2", "--max-order", "1")
+        assert (code, out, err) == (2, "", "error: order 2 exceeds enumeration cap 1\n")
 
 
 class TestSizes:

@@ -213,5 +213,9 @@ class TestMDistribution:
                 )
 
     def test_cap_refusal(self):
+        # the enumeration cap, which max_order lifts
+        with pytest.raises(CapExceeded, match="order 7 exceeds enumeration cap 6"):
+            m_distribution(7, Family.ALL)
+        assert m_distribution(2, Family.ALL, max_order=2) == {1: 11, 2: 4}
         with pytest.raises(CapExceeded):
-            m_distribution(5, Family.ALL)
+            m_distribution(2, Family.ALL, max_order=1)

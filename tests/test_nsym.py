@@ -3,7 +3,7 @@ import operator
 import random
 
 import pytest
-from hopf_oracle import nsym_e, takeuchi_oracle
+from hopf_oracle import nsym_e, qsym_matrix_count, qsym_word_oracle, takeuchi_oracle
 
 from parsym import hopfcheck
 from parsym.algebra import ParSymElement, antipode, character_zeta, coproduct, h
@@ -18,6 +18,7 @@ from parsym.nsym import (
     NSymElement,
     NSymTensor,
     QSymImage,
+    _qsym_word,
     chi,
     nsym_antipode,
     nsym_coproduct,
@@ -274,6 +275,13 @@ class TestQSymImage:
     def test_factors_through_chi(self):
         for d in basis_up_to(3):
             assert qsym_image(h(d)) == qsym_image(chi(h(d)))
+
+    def test_words_match_both_oracles(self):
+        # the folded walk, the tuple form and the integer-matrix count, past
+        # the cap of qsym_image
+        for n in range(7):
+            for alpha in compositions(n):
+                assert _qsym_word(alpha) == qsym_word_oracle(alpha) == qsym_matrix_count(alpha)
 
     def test_degree_cap(self):
         with pytest.raises(CapExceeded):
