@@ -48,10 +48,6 @@ CLOSURE_FAMILIES = tuple(f for f in Family if f is not Family.ALL)
 FORMULA_FAMILIES = tuple(f for f in CLOSURE_FAMILIES if "planar-" not in f.value)
 
 
-class UsageError(ValueError):
-    pass
-
-
 def _read_text_argument(arg: str) -> str:
     if arg.startswith("@"):
         return Path(arg[1:]).read_text(encoding="utf-8")
@@ -134,7 +130,7 @@ def _compositions_out(el, as_json: bool, prefix: str = "") -> None:
 def _phi(text: str) -> algebra.ParSymElement:
     alpha = nsym.parse_composition(text.strip())
     if sum(alpha) > PHI_ORDER_CAP:
-        raise UsageError(f"composition total {sum(alpha)} exceeds the cap {PHI_ORDER_CAP}")
+        raise ValueError(f"composition total {sum(alpha)} exceeds the cap {PHI_ORDER_CAP}")
     return nsym.phi(nsym.nsym_h(alpha))
 
 
@@ -163,17 +159,17 @@ OPS = {
 
 def _require_positive(value: int, flag: str, cap: int | None = None) -> None:
     if value < 1:
-        raise UsageError(f"{flag} must be at least 1, got {value}")
+        raise ValueError(f"{flag} must be at least 1, got {value}")
     if cap is not None and value > cap:
-        raise UsageError(f"{flag} {value} exceeds the cap {cap}")
+        raise ValueError(f"{flag} {value} exceeds the cap {cap}")
 
 
 def _run_op(ns) -> int:
     arity, fn, out = OPS[ns.verb]
     if len(ns.args) != arity:
-        raise UsageError(f"op {ns.verb} expects {arity} argument(s), got {len(ns.args)}")
+        raise ValueError(f"op {ns.verb} expects {arity} argument(s), got {len(ns.args)}")
     if ns.json and ns.verb == "render":  # op parse --json gives the JSON form
-        raise UsageError("op render does not take --json")
+        raise ValueError("op render does not take --json")
     read = _read_text_argument if ns.verb == "phi" else _read_diagram
     out(fn(*map(read, ns.args)), ns.json)
     return 0
@@ -218,7 +214,7 @@ def _resolve_sequence(name: str, family_name: str | None, terms: int) -> list[in
     name = name.strip()
     if name == "dim":
         if not family_name:
-            raise UsageError("seq dim requires --family")
+            raise ValueError("seq dim requires --family")
         name, family_name = f"dim({family_name})", None
     elif name == "boolean":
         name = f"boolean(dim({family_name}))" if family_name else "boolean(bell-even)"
@@ -226,18 +222,18 @@ def _resolve_sequence(name: str, family_name: str | None, terms: int) -> list[in
     if name.startswith("boolean(") and name.endswith(")"):
         return sequences.boolean_transform(_resolve_sequence(name[8:-1], family_name, terms))
     if family_name:
-        raise UsageError(f"seq {name} does not take --family")
+        raise ValueError(f"seq {name} does not take --family")
     if name.startswith("dim(") and name.endswith(")"):
         return sequences.family_dimension_sequence(Family.from_name(name[4:-1]), terms)
     if name in SEQUENCES:
         return SEQUENCES[name](terms)
-    raise UsageError(f"unknown sequence {name!r}")
+    raise ValueError(f"unknown sequence {name!r}")
 
 
 def _run_seq(ns) -> int:
     _require_positive(ns.terms, "--terms", SEQUENCE_TERMS_CAP)
     if ns.name.count("boolean(") > SEQUENCE_NESTING_CAP:
-        raise UsageError(f"boolean(...) nested past the cap {SEQUENCE_NESTING_CAP}")
+        raise ValueError(f"boolean(...) nested past the cap {SEQUENCE_NESTING_CAP}")
     values = [str(v) for v in _resolve_sequence(ns.name, ns.family, ns.terms)]
     if ns.json:
         print(json.dumps(values))
@@ -332,7 +328,7 @@ def _run_verify(ns) -> int:
     given = {"--max-degree": ns.max_degree, "--terms": ns.terms, "--family": ns.family}
     for other, value in given.items():
         if value is not None and other != flag and (other != "--family" or families is None):
-            raise UsageError(f"verify {ns.what} does not take {other}")
+            raise ValueError(f"verify {ns.what} does not take {other}")
     size = default if given[flag] is None else given[flag]
     _require_positive(size, flag, cap)
     if ns.family:
@@ -347,7 +343,7 @@ def _run_verify(ns) -> int:
 
 def _run_hist(ns) -> int:
     if ns.stat != "m":
-        raise UsageError("only 'hist m' is available")
+        raise ValueError("only 'hist m' is available")
     histogram = closures.m_distribution(ns.order, _family(ns), max_order=ns.max_order)
     if ns.json:
         print(json.dumps({str(k): v for k, v in histogram.items()}))
@@ -407,7 +403,7 @@ def main(argv: list[str] | None = None) -> int:
     ns = parser.parse_args(argv)
     try:
         return ns.fn(ns)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -36,15 +36,13 @@ class LinearCombination:
     unit: object
 
     def __init__(self, terms: dict | Iterable = ()):
-        items = terms.items() if isinstance(terms, dict) else terms
-        data = {}
-        for key, coeff in items:
-            value = data.get(key, 0) + coeff
-            if value:
-                data[key] = value
-            else:
-                data.pop(key, None)
-        self.terms = data
+        self.terms = _collect({}, terms.items() if isinstance(terms, dict) else terms)
+
+    @classmethod
+    def _of(cls, data: dict):
+        out = cls.__new__(cls)
+        out.terms = data
+        return out
 
     @staticmethod
     def _mul_key(left, right):
@@ -75,16 +73,7 @@ class LinearCombination:
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        data = dict(self.terms)
-        for key, coeff in other.terms.items():
-            value = data.get(key, 0) + coeff
-            if value:
-                data[key] = value
-            else:
-                data.pop(key, None)
-        out = type(self).__new__(type(self))
-        out.terms = data
-        return out
+        return self._of(_collect(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other):
         return self + (-1) * other
@@ -97,9 +86,7 @@ class LinearCombination:
             return NotImplemented
         if scalar == 0:
             return type(self)()
-        out = type(self).__new__(type(self))
-        out.terms = {key: scalar * coeff for key, coeff in self.terms.items()}
-        return out
+        return self._of({key: scalar * coeff for key, coeff in self.terms.items()})
 
     def __mul__(self, other):
         if type(other) is not type(self):
@@ -114,9 +101,7 @@ class LinearCombination:
                     data[key] = value
                 else:
                     del data[key]
-        out = type(self).__new__(type(self))
-        out.terms = data
-        return out
+        return self._of(data)
 
     def extend(self, f: Callable, cls: type | None = None):
         """The linear extension of f (basis key -> element of cls, by default
@@ -138,6 +123,17 @@ class LinearCombination:
     def __repr__(self) -> str:
         name = type(self).__name__
         return f"{name}({self.terms!r})"
+
+
+def _collect(data: dict, items: Iterable) -> dict:
+    """Add the (key, coeff) items into data, dropping the keys that sum to 0."""
+    for key, coeff in items:
+        value = data.get(key, 0) + coeff
+        if value:
+            data[key] = value
+        else:
+            data.pop(key, None)
+    return data
 
 
 class TensorSquare(LinearCombination):

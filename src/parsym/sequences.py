@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterator, Sequence
 
+from .diagrams import CapExceeded
 from .families import Family
-
-COMPOSITION_ITERATION_LIMIT = 20
+from .linear import REGROUPING_CUT_CAP
 
 
 def _bell_numbers(n: int) -> list[int]:
@@ -55,11 +55,11 @@ def even_bell_sequence(n: int) -> list[int]:
 
 
 def compositions(n: int) -> Iterator[tuple[int, ...]]:
-    """All integer compositions of n, as bar masks over the n-1 gaps."""
+    """All 2^(n-1) compositions of n as bar masks, within the kernel's budget."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n > COMPOSITION_ITERATION_LIMIT:
-        raise ValueError(f"direct composition iteration capped at n = {COMPOSITION_ITERATION_LIMIT}")
+    if n - 1 > REGROUPING_CUT_CAP:
+        raise CapExceeded(f"direct composition iteration capped at n = {REGROUPING_CUT_CAP + 1}")
     if n == 0:
         yield ()
         return

@@ -10,15 +10,28 @@ against these.
 It also holds routes the library does not need: the Boolean transform by
 the proper-composition recursion and by its generating function (the
 library uses one convolution recurrence), its inverse, the odd double
-factorials, and the primitive basis diagrams by their bullet statistic.
+factorials, the primitive basis diagrams by their bullet statistic, and
+the closure certificate that tests every tensor factor and every piece
+between two bullet cuts (it follows the family's rule, so it also serves
+fake rules).
 """
 
 import math
+from itertools import combinations
 from typing import Sequence
 
-from parsym.diagrams import PartitionDiagram, m_statistic, tensor_cuts
-from parsym.families import Family
-from parsym.sequences import bell, compositions
+from parsym.closures import ClosureReport, DegreeChecks
+from parsym.diagrams import (
+    PartitionDiagram,
+    bullet_cuts,
+    is_tensor_irreducible,
+    m_statistic,
+    split,
+    tensor,
+    tensor_cuts,
+)
+from parsym.families import Family, enumerate_family, family_member
+from parsym.sequences import bell, boolean_transform, compositions
 
 
 def double_factorial_odd(i: int) -> int:
@@ -181,3 +194,50 @@ def irreducible_counts_by_transfer(n: int) -> list[int]:
         counts.append(ways[0])
         ways[0] = 0
     return counts
+
+
+def all_pieces_closure_oracle(family: Family, max_degree: int) -> ClosureReport:
+    """Test oracle for ``closures.closure_report``: the same walk, but (a)
+    tests every tensor factor of a member and (c) every piece of a
+    generator between two of its bullet cuts, or a cut and an end.  Outer
+    pieces are coproduct legs; interior ones, which appear only in the
+    antipode, set ``antipode_closed`` on their own."""
+    checks: dict[int, DegreeChecks] = {}
+    counterexample: tuple[PartitionDiagram, str] | None = None
+    members, generators = [], []
+    tensor_ok = delta_ok = antipode_ok = True
+    for k in range(1, max_degree + 1):
+        n = g = primitive = 0
+        for d in enumerate_family(k, family):
+            n += 1
+            cuts = tensor_cuts(d)
+            if cuts:
+                if tensor_ok and not all(family_member(f, family) for f in split(d, cuts)):
+                    tensor_ok = delta_ok = antipode_ok = False
+                    counterexample = counterexample or (d, "tensor")
+                continue
+            g += 1
+            bounds = [0, *bullet_cuts(d), k]
+            primitive += len(bounds) == 2
+            for lo, hi in combinations(bounds, 2):
+                outer = lo == 0 or hi == k
+                if (lo, hi) == (0, k) or not (delta_ok if outer else antipode_ok):
+                    continue
+                if not family_member(split(d, [lo, hi])[1], family):
+                    antipode_ok = False
+                    delta_ok = delta_ok and not outer
+                    counterexample = counterexample or (d, "coproduct" if outer else "antipode")
+        members.append(n)
+        generators.append(g)
+        if tensor_ok and boolean_transform(members) != generators:
+            tensor_ok = delta_ok = antipode_ok = False
+            missing = next(
+                w
+                for j in range(1, k)
+                for x in enumerate_family(j, family)
+                for y in enumerate_family(k - j, family)
+                if is_tensor_irreducible(y) and not family_member(w := tensor(x, y), family)
+            )
+            counterexample = counterexample or (missing, "tensor")
+        checks[k] = DegreeChecks(tensor_ok, delta_ok, antipode_ok, primitive)
+    return ClosureReport(family, max_degree, checks, counterexample)

@@ -1,7 +1,13 @@
+import zlib
+from itertools import combinations
 from math import comb
 
 import pytest
-from family_oracle import is_primitive_basis_diagram, oracle_member
+from family_oracle import (
+    all_pieces_closure_oracle,
+    is_primitive_basis_diagram,
+    oracle_member,
+)
 from hopf_oracle import closure_oracle
 
 from parsym import families
@@ -13,9 +19,12 @@ from parsym.closures import (
 from parsym.diagrams import (
     CapExceeded,
     GrowthRule,
+    bullet_cuts,
     enumerate_diagrams,
     is_tensor_irreducible,
     render,
+    split,
+    tensor_cuts,
 )
 from parsym.families import Family, enumerate_family
 from parsym.sequences import (
@@ -82,6 +91,22 @@ ONE_LARGE_BLOCK = GrowthRule(
 )
 
 
+def seeded_rule(seed: int) -> GrowthRule:
+    """A fake growth rule that refuses a node by a hash of its position
+    (odd seeds, rarely closed) or only of its side and block (even seeds,
+    often closed), at one of three rates."""
+
+    def admits(*features):
+        return zlib.crc32(repr((seed, *features)).encode()) % 100 >= (5, 20, 40)[seed % 3]
+
+    if seed % 2:
+        return GrowthRule(
+            lambda blocks, b, v: admits(v, len(b), len(blocks), b[-1]),
+            lambda blocks, v, left: admits(v, len(blocks), left),
+        )
+    return GrowthRule(lambda blocks, b, v: admits(v > 0, len(b), b[0] > 0))
+
+
 class TestCertificate:
     @pytest.mark.parametrize("family", list(Family))
     def test_agrees_with_oracle(self, family):
@@ -105,6 +130,52 @@ class TestCertificate:
         assert (render(d), check) == counterexample
         assert not report.checks[3].passed
         assert not closure_oracle(Family.PLANAR, 3).all_passed
+
+    def test_agrees_with_all_pieces_oracle_on_seeded_rules(self, monkeypatch):
+        outcomes = set()
+        for seed in range(50):
+            monkeypatch.setitem(families._RULES, Family.PLANAR, seeded_rule(seed))
+            report = closure_report(Family.PLANAR, 3)
+            oracle = all_pieces_closure_oracle(Family.PLANAR, 3)
+            assert report.checks == oracle.checks, seed
+            assert report.counterexample == oracle.counterexample, seed
+            outcomes.add(report.counterexample and report.counterexample[1])
+        assert outcomes == {None, "tensor", "coproduct"}
+
+    def test_certified_degrees_are_antipode_closed(self, monkeypatch):
+        # a graded connected sub-bialgebra is closed under the antipode
+        certified = 0
+        for seed in range(50):
+            monkeypatch.setitem(families._RULES, Family.PLANAR, seeded_rule(seed))
+            report = closure_report(Family.PLANAR, 3)
+            oracle = closure_oracle(Family.PLANAR, 3)
+            for k, c in report.checks.items():
+                assert c.antipode_closed == c.delta_closed
+                if c.tensor_closed and c.delta_closed:
+                    certified += 1
+                    assert oracle.checks[k].antipode_closed, (seed, k)
+        assert certified == 106
+
+    def test_generator_pieces_are_lower_order_pieces(self):
+        # the argument behind checking two legs per generator: its longest
+        # prefix and suffix are generators with its own cuts, and each piece
+        # between two bounds is a prefix of the suffix at its lower bound
+        pieces = 0
+        for k in range(1, 6):
+            for d in enumerate_diagrams(k):
+                if tensor_cuts(d):
+                    continue
+                cuts = bullet_cuts(d)
+                if cuts:
+                    prefix, suffix = split(d, cuts[-1:])[0], split(d, cuts[:1])[1]
+                    assert is_tensor_irreducible(prefix) and is_tensor_irreducible(suffix)
+                    assert bullet_cuts(prefix) == cuts[:-1]
+                    assert bullet_cuts(suffix) == [c - cuts[0] for c in cuts[1:]]
+                for lo, hi in combinations([0, *cuts, k], 2):
+                    if (lo, hi) != (0, k):
+                        assert split(d, [lo, hi])[1] == split(split(d, [lo])[1], [hi - lo])[0]
+                        pieces += 1
+        assert pieces == 37_004
 
     @pytest.mark.parametrize(
         "family",

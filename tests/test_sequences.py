@@ -10,6 +10,7 @@ from family_oracle import (
     inverse_boolean_transform,
 )
 
+from parsym.diagrams import CapExceeded
 from parsym.families import Family
 from parsym.sequences import (
     GfReport,
@@ -75,7 +76,9 @@ class TestCompositions:
         assert list(compositions(0)) == [()]
 
     def test_iteration_limit(self):
-        with pytest.raises(ValueError):
+        # the kernel's budget: 2^REGROUPING_CUT_CAP compositions at n = 20
+        assert sum(1 for _ in compositions(20)) == 524_288
+        with pytest.raises(CapExceeded, match=r"^direct composition iteration capped at n = 20$"):
             list(compositions(21))
 
 
