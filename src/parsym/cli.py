@@ -10,6 +10,7 @@ through the tables ``OPS`` and ``VERIFY``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from collections.abc import Iterable
@@ -352,7 +353,9 @@ def _run_hist(ns) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and then reused."""
     parser = argparse.ArgumentParser(
         prog="parsym",
         description="Exact computations in the Hopf algebra on partition diagrams.",

@@ -217,10 +217,14 @@ class GrowthRule(NamedTuple):
     ``left`` nodes still to place after it.  A refused branch is skipped
     whole, so the admitted diagrams come out in the unpruned order; every
     finished partition is admitted, so a rule must refuse early any branch
-    that cannot finish as a member."""
+    that cannot finish as a member.  A ``noncrossing`` rule also refuses
+    every join that would cross a block in the boundary order
+    1, ..., k, k', ..., 1'; the walk keeps the blocks a node can join
+    without a crossing as its state (``_uncrossed``)."""
 
-    joins: Callable[[list[list[int]], list[int], int], bool]
+    joins: Callable[[list[list[int]], list[int], int], bool] = _always
     opens: Callable[[list[list[int]], int, int], bool] = _always
+    noncrossing: bool = False
 
 
 def _check_order(k: int, max_order: int | None) -> None:
@@ -243,8 +247,8 @@ def enumerate_diagrams(
     (default 6)."""
     _check_order(k, max_order)
     # blocks open in slot order, so the labels are already an RGS
-    walk = _walk(_slots(k)[0], rule or GrowthRule(_always), 2 * k)
-    return (_diagram(tuple(labels)) for labels, _ in walk)
+    walk = _walk(_slots(k)[0], rule or GrowthRule(), 2 * k)
+    return (_diagram(tuple(labels)) for labels, _, _ in walk)
 
 
 def count_diagrams(
@@ -257,48 +261,84 @@ def count_diagrams(
     _check_order(k, max_order)
     if k == 0:
         return int(not irreducible)
-    joins, opens = rule = rule or GrowthRule(_always)
+    joins, opens, _ = rule = rule or GrowthRule()
+    free = joins is _always  # k' may join every block it can reach
     count = 0
-    for labels, blocks in _walk(_slots(k)[0], rule, 2 * k - 1):
+    for labels, blocks, seen in _walk(_slots(k)[0], rule, 2 * k - 1):
+        choices = blocks if seen is None else [blocks[x] for x in seen]
         # past the first line the prefix leaves uncrossed (k' alone crosses
         # none), only a join to a block left of it crosses every line
-        cuts = irreducible and _tensor_cuts(k, labels + [len(blocks)])
+        cuts = irreducible and _tensor_cuts(k, labels + [len(blocks)], first=True)
         if cuts:
-            count += sum(abs(b[0]) <= cuts[0] and joins(blocks, b, -k) for b in blocks)
+            count += sum(abs(b[0]) <= cuts[0] and (free or joins(blocks, b, -k)) for b in choices)
+        elif free:
+            count += len(choices) + opens(blocks, -k, 0)
         else:
-            count += sum(joins(blocks, b, -k) for b in blocks) + opens(blocks, -k, 0)
+            count += sum(joins(blocks, b, -k) for b in choices) + opens(blocks, -k, 0)
     return count
 
 
-def _walk(nodes: tuple[int, ...], rule: GrowthRule, stop: int) -> Iterator[tuple[list, list]]:
-    """The live (labels, blocks) of each admitted placement of the first
-    ``stop`` nodes in order; both lists change as the walk goes on."""
-    joins, opens = rule
+def _uncrossed(seen: tuple[int, ...], blocks: list[list[int]], x: int, turn: bool) -> tuple[int, ...]:
+    """The blocks the next node can join without a crossing, nearest the
+    growing end last, once the node just placed took block x and ``seen``
+    held those it could join.  A join to x encloses every block after it; an
+    open adds a block.  At the ``turn`` the next node is 1', so the growing
+    end moves from k to 1' (next to node 1), and a block stays joinable iff
+    no earlier block reaches past its first node."""
+    if turn:
+        keep: list[int] = []
+        reach = 0
+        for y, b in enumerate(blocks):
+            if b[0] > reach:
+                keep.append(y)
+            reach = max(reach, b[-1])
+        return tuple(reversed(keep))
+    if len(blocks[x]) == 1:
+        return seen + (x,)
+    return seen[: seen.index(x) + 1]
+
+
+def _walk(nodes: tuple[int, ...], rule: GrowthRule, stop: int) -> Iterator[tuple[list, list, tuple | None]]:
+    """The live (labels, blocks, seen) of each admitted placement of the
+    first ``stop`` nodes in order; both lists change as the walk goes on.
+    Under a noncrossing rule ``seen`` holds the blocks the next node can
+    join without a crossing, else it is None."""
+    joins, opens, noncrossing = rule
     n = len(nodes)
+    k = n // 2
     labels: list[int] = []
     blocks: list[list[int]] = []
+    # under a noncrossing rule seens[i] holds the blocks node i can join
+    # uncrossed, one entry per depth; else it stays [None]
+    seens: list = [()] if noncrossing else [None]
     x = 0  # the next block to try for node len(labels); len(blocks) opens one
     while True:
         i = len(labels)
+        seen = seens[-1]
         if i < stop:
             v = nodes[i]
-            while x < len(blocks) and not joins(blocks, blocks[x], v):
-                x += 1
-            if x < len(blocks):
+            if seen is None:
+                while x < len(blocks) and not joins(blocks, blocks[x], v):
+                    x += 1
+            else:
+                while x < len(blocks) and not (x in seen and joins(blocks, blocks[x], v)):
+                    x += 1
+            if x < len(blocks) or x == len(blocks) and opens(blocks, v, n - i - 1):
+                if x == len(blocks):
+                    blocks.append([])
                 blocks[x].append(v)
                 labels.append(x)
-                x = 0
-                continue
-            if x == len(blocks) and opens(blocks, v, n - i - 1):
-                blocks.append([v])
-                labels.append(x)
+                if seen is not None:
+                    seens.append(_uncrossed(seen, blocks, x, i + 1 == k))
                 x = 0
                 continue
         else:
-            yield labels, blocks
+            yield labels, blocks, seen
         if not labels:
             return
         # backtrack: take the last node off and try its next block
+        if seen is not None:
+            seens.pop()
         x = labels.pop()
         b = blocks[x]
         b.pop()
@@ -401,8 +441,9 @@ def tensor_cuts(d: PartitionDiagram) -> list[int]:
     return _tensor_cuts(d.order, d.labels)
 
 
-def _tensor_cuts(k: int, labels) -> list[int]:
-    # walking the columns, i is a cut iff no block seen so far reaches past it
+def _tensor_cuts(k: int, labels, first: bool = False) -> list[int]:
+    # walking the columns, i is a cut iff no block seen so far reaches past
+    # it; with ``first`` the walk stops at the first cut
     last = [0] * len(labels)  # last column of each label
     for c, x, y in zip(range(1, k + 1), labels, labels[k:]):
         last[x] = last[y] = c
@@ -415,6 +456,8 @@ def _tensor_cuts(k: int, labels) -> list[int]:
             reach = last[y]
         if reach == c:
             cuts.append(c)
+            if first:
+                break
     return cuts
 
 

@@ -14,6 +14,9 @@ Each family is defined once, by a ``GrowthRule`` over the node order
 The empty diagram belongs to every family.  ``enumerate_family`` and
 ``count_family`` prune the walk of ``enumerate_diagrams`` with the rule;
 ``family_member``, which the closure checks use, replays labels through it.
+The planar rules are ``noncrossing``: the walk and the replay keep the
+blocks the next node can join without a crossing as state, updated per
+node by ``diagrams._uncrossed``, so no join scans the blocks.
 """
 
 from __future__ import annotations
@@ -21,7 +24,14 @@ from __future__ import annotations
 import enum
 from typing import Iterator
 
-from .diagrams import GrowthRule, PartitionDiagram, _slots, count_diagrams, enumerate_diagrams
+from .diagrams import (
+    GrowthRule,
+    PartitionDiagram,
+    _slots,
+    _uncrossed,
+    count_diagrams,
+    enumerate_diagrams,
+)
 
 
 class Family(enum.Enum):
@@ -47,29 +57,14 @@ class Family(enum.Enum):
 # growth rules: nodes arrive in the order 1, ..., k, 1', ..., k'
 
 
-def _no_crossing(blocks, b, v) -> bool:
-    # The boundary 1, ..., k, k', ..., 1' read from k' round to k is the
-    # integer order of the node values.  The placed nodes form an interval
-    # of it with v just past one end, so v may join b iff no block has nodes
-    # on both sides of b; in a noncrossing partition a block straddling one
-    # node of b straddles all of them, so testing min(b) suffices.
-    x = min(b)
-    return not any(min(c) < x < max(c) for c in blocks)
-
-
-def _planar(rule: GrowthRule) -> GrowthRule:
-    """``rule`` and the planar rule, which refuses only joins."""
-    return rule._replace(
-        joins=lambda blocks, b, v: rule.joins(blocks, b, v)
-        and _no_crossing(blocks, b, v)
-    )
-
-
 _MATCHING = GrowthRule(lambda blocks, b, v: len(b) == 1)
 # a new lone node must leave no more lone nodes than nodes left to pair
-# them, so at the leaf every block is a pair
+# them, so at the leaf every block is a pair.  Every block of a matching
+# prefix holds one node or two, so the lone ones number twice the blocks
+# less the nodes placed: v - 1 before top node v, left - 2v - 1 before a
+# bottom one.
 _PERFECT_MATCHING = _MATCHING._replace(
-    opens=lambda blocks, v, left: sum(len(b) == 1 for b in blocks) < left
+    opens=lambda blocks, v, left: 2 * len(blocks) - (v - 1 if v > 0 else left - 2 * v - 1) < left
 )
 # a bottom node may only pair with a lone top node
 _PARTIAL_PERMUTATION = GrowthRule(
@@ -82,13 +77,13 @@ _RULES = {
     Family.PERMUTATION: _PARTIAL_PERMUTATION._replace(
         opens=lambda blocks, v, left: v > 0
     ),
-    Family.PLANAR: GrowthRule(_no_crossing),
+    Family.PLANAR: GrowthRule(noncrossing=True),
     Family.MATCHING: _MATCHING,
     Family.PERFECT_MATCHING: _PERFECT_MATCHING,
     Family.PARTIAL_PERMUTATION: _PARTIAL_PERMUTATION,
-    Family.PLANAR_PERFECT_MATCHING: _planar(_PERFECT_MATCHING),
-    Family.PLANAR_MATCHING: _planar(_MATCHING),
-    Family.PLANAR_PARTIAL_PERMUTATION: _planar(_PARTIAL_PERMUTATION),
+    Family.PLANAR_PERFECT_MATCHING: _PERFECT_MATCHING._replace(noncrossing=True),
+    Family.PLANAR_MATCHING: _MATCHING._replace(noncrossing=True),
+    Family.PLANAR_PARTIAL_PERMUTATION: _PARTIAL_PERMUTATION._replace(noncrossing=True),
 }
 
 
@@ -111,16 +106,21 @@ def family_member(d: PartitionDiagram, family: Family) -> bool:
     rule = _RULES.get(family)
     if rule is None:
         return True
+    joins, opens, noncrossing = rule
     blocks: list[list[int]] = []
+    seen: tuple[int, ...] = ()
+    k = d.order
     left = len(d.labels)
-    for v, x in zip(_slots(d.order)[0], d.labels):
+    for i, (v, x) in enumerate(zip(_slots(k)[0], d.labels)):
         left -= 1
         if x < len(blocks):
-            if not rule.joins(blocks, blocks[x], v):
+            if not (joins(blocks, blocks[x], v) and (not noncrossing or x in seen)):
                 return False
             blocks[x].append(v)
-        elif rule.opens(blocks, v, left):
+        elif opens(blocks, v, left):
             blocks.append([v])
         else:
             return False
+        if noncrossing:
+            seen = _uncrossed(seen, blocks, x, i + 1 == k)
     return True

@@ -563,6 +563,26 @@ class TestDeterminism:
             _, second, _ = run_cli(capsys, *argv)
             assert first == second
 
+    def test_reused_parser_after_usage_error(self, capsys):
+        # one parser serves every call in a process; a refused argv must
+        # leave it as a fresh process finds it
+        bad = ["op", "no-such-verb", "1/1'"]
+        good = ["op", "antipode", "1,2,3/4/1',2'/3',4'"]
+        fresh = [
+            subprocess.run(
+                [sys.executable, "-m", "parsym", *argv],
+                capture_output=True,
+                text=True,
+                env=SUBPROCESS_ENV,
+            )
+            for argv in (bad, good)
+        ]
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert (exc.value.code, fresh[0].returncode) == (2, 2)
+        assert capsys.readouterr().err == fresh[0].stderr
+        assert run_cli(capsys, *good) == (0, fresh[1].stdout, "")
+
     def test_console_script_subprocess(self):
         result = subprocess.run(
             [sys.executable, "-m", "parsym.cli", "seq", "a", "--terms", "3"],

@@ -1,3 +1,4 @@
+import functools
 import zlib
 from itertools import combinations
 from math import comb
@@ -20,13 +21,14 @@ from parsym.diagrams import (
     CapExceeded,
     GrowthRule,
     bullet_cuts,
+    count_diagrams,
     enumerate_diagrams,
     is_tensor_irreducible,
     render,
     split,
     tensor_cuts,
 )
-from parsym.families import Family, enumerate_family
+from parsym.families import Family, enumerate_family, family_member
 from parsym.sequences import (
     boolean_transform,
     family_dimension,
@@ -105,6 +107,34 @@ def seeded_rule(seed: int) -> GrowthRule:
             lambda blocks, v, left: admits(v, len(blocks), left),
         )
     return GrowthRule(lambda blocks, b, v: admits(v > 0, len(b), b[0] > 0))
+
+
+@functools.cache
+def _planar_diagrams(k: int) -> frozenset:
+    return frozenset(d for d in enumerate_diagrams(k) if oracle_member(d, Family.PLANAR))
+
+
+class TestNoncrossingFlag:
+    """A diagram is planar iff each prefix of it is, so the flag on any rule
+    keeps exactly the planar diagrams that rule admits, in the same order."""
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_flag_filters_planar(self, monkeypatch, seed):
+        rule = seeded_rule(seed)
+        flagged = rule._replace(noncrossing=True)
+        monkeypatch.setitem(families._RULES, Family.PLANAR, flagged)
+        for k in range(5):
+            admitted = list(enumerate_diagrams(k, rule=rule))
+            planar = [d for d in admitted if d in _planar_diagrams(k)]
+            assert list(enumerate_diagrams(k, rule=flagged)) == planar, k
+            assert count_diagrams(k, rule=flagged) == len(planar), k
+            irreducible = sum(is_tensor_irreducible(d) for d in planar)
+            assert count_diagrams(k, rule=flagged, irreducible=True) == irreducible, k
+            # the replay keeps the same state as the walk; it refuses what
+            # the rule refuses
+            assert all(
+                family_member(d, Family.PLANAR) == (d in _planar_diagrams(k)) for d in admitted
+            ), k
 
 
 class TestCertificate:

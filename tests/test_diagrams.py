@@ -7,6 +7,7 @@ from parsym.diagrams import (
     EMPTY_DIAGRAM,
     CapExceeded,
     PartitionDiagram,
+    _tensor_cuts,
     bullet,
     bullet_cuts,
     bullet_decompose,
@@ -281,6 +282,10 @@ class TestTensorCuts:
     def test_matches_blocks_oracle_up_to_order_four(self):
         for d in small_diagrams(4):
             assert tensor_cuts(d) == tensor_cuts_oracle(d)
+
+    def test_first_stops_at_the_first_cut(self):
+        for d in small_diagrams(4):
+            assert _tensor_cuts(d.order, d.labels, first=True) == tensor_cuts_oracle(d)[:1]
 
     def test_cut_iff_splits_brute_force(self):
         for k in range(1, 4):

@@ -129,6 +129,17 @@ class TestReplayAgainstOracle:
             for d in enumerate_diagrams(k):
                 assert family_member(d, family) == oracle_member(d, family)
 
+    def test_planar_order_five(self):
+        # the walk keeps the uncrossed blocks as state; the oracle tests
+        # every pair of blocks for a crossing
+        members = []
+        for d in enumerate_diagrams(5):
+            planar = oracle_member(d, Family.PLANAR)
+            assert family_member(d, Family.PLANAR) == planar
+            if planar:
+                members.append(d)
+        assert list(enumerate_family(5, Family.PLANAR)) == members
+
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(st.data())
     def test_random_diagrams_and_member_products(self, data):

@@ -67,6 +67,11 @@ GOLDEN = {
     # exhaustive sweeps: the order-5 generator count and the family counts
     "count --order 5 --irreducible": "190abdcf8d670dd94ee3417ab646bcd2a565a02728105026bac6025f8ffffef0",
     "verify counts --terms 5": "fabcb58a22a13dc28004e5115cdda913260c9fd7dd2796737603e44c14c232ee",
+    # the planar walks at full size: order-6 family counts and the order-5
+    # members of two planar families
+    "verify counts --terms 6": "39960535c4366cdcfd3af17270ddac4dc41e694fb8e097be2d9fff85211b1408",
+    "enumerate --order 5 --family planar": "d0d9592af1b5a94455addecc118065f10b9fc72c974616036675efd6ca9bd3ee",
+    "enumerate --order 5 --family planar-matching": "23eb537603c9941224116501f78862990fedf256d947ee2b5be2f0845b86a494",
     # the dimension sequences with a closed form
     "seq dim(all) --terms 100": "4f8fd51f8181cf2d3b4191a8441d6782f9f003106a080d9767a58b1040b48b03",
     "seq dim(permutation) --terms 100": "a5b420df6829818f30ebef885fab554fb1d1927f2a2bcfe85e257a970f59f2f7",
