@@ -34,7 +34,7 @@ from .diagrams import (
     to_json_obj,
     vertical_compose,
 )
-from .families import Family, count_family, enumerate_family
+from .families import Family, count_family, count_family_by_m, enumerate_family
 
 # Sequences cost O(terms^2) big-integer products, each boolean(...) one more
 # transform; the slowest name at both caps takes 3.5 s on a 2-vCPU host.
@@ -45,7 +45,9 @@ SEQUENCE_NESTING_CAP = 8
 PHI_ORDER_CAP = 100_000
 
 CLOSURE_FAMILIES = tuple(f for f in Family if f is not Family.ALL)
-# the planar composites have no closed dimension formula
+# the default set of verify counts; the planar composites have formulas too
+# (Catalan, central binomial and even Motzkin numbers) and answer under
+# --family
 FORMULA_FAMILIES = tuple(f for f in CLOSURE_FAMILIES if "planar-" not in f.value)
 
 
@@ -180,26 +182,25 @@ def _family(ns) -> Family:
     return Family.from_name(ns.family) if ns.family else Family.ALL
 
 
-def _selected_diagrams(ns):
+def _run_enumerate(ns) -> int:
     # not a generator, so the cap check runs at the call, before any output
     members = enumerate_family(ns.order, _family(ns), max_order=ns.max_order)
     if ns.irreducible:
         members = filter(is_tensor_irreducible, members)
     if ns.bullet_irreducible:
         members = filter(is_bullet_irreducible, members)
-    return members
-
-
-def _run_enumerate(ns) -> int:
-    _diagram_list_out(_selected_diagrams(ns), ns.json)
+    _diagram_list_out(members, ns.json)
     return 0
 
 
 def _run_count(ns) -> int:
-    if ns.bullet_irreducible:  # not a fact of a prefix: count the leaves
-        count = sum(1 for _ in _selected_diagrams(ns))
+    # counted per prefix of the walk, with no diagram built; the
+    # bullet-irreducible diagrams are those with m = 1
+    family = _family(ns)
+    if ns.bullet_irreducible:
+        count = count_family_by_m(ns.order, family, ns.max_order, ns.irreducible).get(1, 0)
     else:
-        count = count_family(ns.order, _family(ns), ns.max_order, ns.irreducible)
+        count = count_family(ns.order, family, ns.max_order, ns.irreducible)
     _value_out(count, ns.json)
     return 0
 

@@ -24,8 +24,9 @@ tensor-irreducible ones with no bullet cut.
 
 ``family_generator_counts`` counts tensor-irreducible members per order,
 which must equal the Boolean transform of the dimension sequence, with
-``count_family``: per prefix of the member walk, with no member built.
-``m_distribution`` bins the bullet statistic over ``enumerate_family``.
+``count_family``, and ``m_distribution`` bins the bullet statistic with
+``count_family_by_m``: both read the last node's choices off each prefix of
+the member walk and its column spans, with no member built.
 """
 
 from __future__ import annotations
@@ -37,12 +38,11 @@ from .diagrams import (
     PartitionDiagram,
     bullet_cuts,
     is_tensor_irreducible,
-    m_statistic,
     split,
     tensor,
     tensor_cuts,
 )
-from .families import Family, count_family, enumerate_family, family_member
+from .families import Family, count_family, count_family_by_m, enumerate_family, family_member
 from .sequences import boolean_transform
 
 CLOSURE_CAP = 5
@@ -136,8 +136,4 @@ def family_generator_counts(family: Family, max_k: int) -> list[int]:
 def m_distribution(k: int, family: Family, max_order: int | None = None) -> dict[int, int]:
     """Histogram of the bullet statistic over family members of order k,
     refused past ``max_order``, by default the enumeration cap."""
-    histogram: dict[int, int] = {}
-    for d in enumerate_family(k, family, max_order=max_order):
-        value = m_statistic(d)
-        histogram[value] = histogram.get(value, 0) + 1
-    return dict(sorted(histogram.items()))
+    return count_family_by_m(k, family, max_order)

@@ -11,8 +11,9 @@ Each family is defined once, by a ``GrowthRule`` over the node order
 * the three planar-* tags are conjunctions (Temperley-Lieb, Motzkin,
   planar rook).
 
-The empty diagram belongs to every family.  ``enumerate_family`` and
-``count_family`` prune the walk of ``enumerate_diagrams`` with the rule;
+The empty diagram belongs to every family.  ``enumerate_family``,
+``count_family`` and ``count_family_by_m`` prune the walk of
+``enumerate_diagrams`` with the rule;
 ``family_member``, which the closure checks use, replays labels through it.
 The planar rules are ``noncrossing``: the walk and the replay keep the
 blocks the next node can join without a crossing as state, updated per
@@ -29,6 +30,7 @@ from .diagrams import (
     PartitionDiagram,
     _slots,
     _uncrossed,
+    count_by_m,
     count_diagrams,
     enumerate_diagrams,
 )
@@ -97,6 +99,14 @@ def enumerate_family(
 def count_family(k: int, family: Family, max_order: int | None = None, irreducible: bool = False) -> int:
     """Members of order k, or tensor-irreducible ones, counted without building one."""
     return count_diagrams(k, max_order, _RULES.get(family), irreducible)
+
+
+def count_family_by_m(
+    k: int, family: Family, max_order: int | None = None, irreducible: bool = False
+) -> dict[int, int]:
+    """Members of order k, or tensor-irreducible ones, per value of the
+    bullet statistic m, counted without building one."""
+    return count_by_m(k, max_order, _RULES.get(family), irreducible)
 
 
 def family_member(d: PartitionDiagram, family: Family) -> bool:

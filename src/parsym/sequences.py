@@ -144,16 +144,24 @@ def family_dimension(family: Family, k: int) -> int:
 
 
 def family_dimension_sequence(family: Family, n: int) -> list[int]:
-    """The family's dimensions in degrees 1..n, each sequence in one pass.
-
-    Raises for the composite planar families, which have no formula at this
-    layer and are counted by enumeration instead.
-    """
+    """The family's dimensions in degrees 1..n, each sequence in one pass."""
     if family is Family.ALL:
         return even_bell_sequence(n)
     if family is Family.PLANAR:
         # Catalan numbers C_2k
         return [math.comb(4 * k, 2 * k) // (2 * k + 1) for k in range(1, n + 1)]
+    if family is Family.PLANAR_PERFECT_MATCHING:
+        # Temperley-Lieb: Catalan numbers C_k
+        return [math.comb(2 * k, k) // (k + 1) for k in range(1, n + 1)]
+    if family is Family.PLANAR_PARTIAL_PERMUTATION:
+        # planar rook: central binomial coefficients
+        return [math.comb(2 * k, k) for k in range(1, n + 1)]
+    if family is Family.PLANAR_MATCHING:
+        # Motzkin: M_2k, from (m + 2) M_m = (2m + 1) M_{m-1} + 3(m - 1) M_{m-2}
+        motzkin = [1, 1]
+        for m in range(2, 2 * n + 1):
+            motzkin.append(((2 * m + 1) * motzkin[-1] + 3 * (m - 1) * motzkin[-2]) // (m + 2))
+        return motzkin[2::2]
     if family is Family.MATCHING:
         # involution numbers I_2k, from I_m = I_{m-1} + (m - 1) I_{m-2}
         involutions = [1, 1]

@@ -1,10 +1,11 @@
 """Test oracle for the diagram families, independent of the growth rules.
 
 Membership is decided by predicates over the ``blocks`` view, the
-dimensions by the closed-form sums, and the generator counts of the full
-family by a transfer count over open blocks.  The library defines each
-family only by its ``GrowthRule``; the tests compare ``family_member``,
-``enumerate_family``, ``count_family`` and ``family_dimension_sequence``
+dimensions by the closed-form sums, the generator counts of the full
+family by a transfer count over open blocks, and its m histogram by powers
+of their generating function.  The library defines each family only by its
+``GrowthRule``; the tests compare ``family_member``, ``enumerate_family``,
+``count_family``, ``count_family_by_m`` and ``family_dimension_sequence``
 against these.
 
 It also holds routes the library does not need: the Boolean transform by
@@ -168,6 +169,16 @@ def closed_form_dimension(family: Family, k: int) -> int:
         return sum(math.comb(k, i) ** 2 * math.factorial(i) for i in range(k + 1))
     if family is Family.PERMUTATION:
         return math.factorial(k)
+    if family is Family.PLANAR_PERFECT_MATCHING:
+        return math.comb(2 * k, k) - math.comb(2 * k, k + 1)
+    if family is Family.PLANAR_PARTIAL_PERMUTATION:
+        return sum(math.comb(k, i) ** 2 for i in range(k + 1))
+    if family is Family.PLANAR_MATCHING:
+        # Motzkin M_2k: the matchings of 2k points on a line with 2i paired
+        return sum(
+            math.comb(2 * k, 2 * i) * (math.comb(2 * i, i) - math.comb(2 * i, i + 1))
+            for i in range(k + 1)
+        )
     raise ValueError(f"no closed dimension formula for {family.value}")
 
 
@@ -193,6 +204,21 @@ def irreducible_counts_by_transfer(n: int) -> list[int]:
             ways = step
         counts.append(ways[0])
         ways[0] = 0
+    return counts
+
+
+def m_counts_by_series(k: int) -> dict[int, int]:
+    """Oracle for the m histogram of the diagrams of order k >= 1, built from
+    no diagram.  Bullet factorisation is unique, and the bullet-irreducible
+    diagrams of order n number a_n, as the tensor-irreducible ones do, so
+    the diagrams with m = j number [x^k] A(x)^j, A(x) = sum a_n x^n, with
+    a_n from ``irreducible_counts_by_transfer``."""
+    a = [0, *irreducible_counts_by_transfer(k)]
+    power = [1] + [0] * k  # A(x)^j truncated past x^k, from j = 0
+    counts = {}
+    for j in range(1, k + 1):
+        power = [sum(power[i] * a[n - i] for i in range(n)) for n in range(k + 1)]
+        counts[j] = power[k]
     return counts
 
 

@@ -6,10 +6,10 @@ import sys
 from pathlib import Path
 
 import pytest
-from family_oracle import boolean_transform_by_series
+from family_oracle import boolean_transform_by_series, irreducible_counts_by_transfer, m_counts_by_series
 
 import parsym
-from parsym import algebra, cli, closures, sequences
+from parsym import algebra, cli, closures, diagrams, sequences
 from parsym.cli import CLOSURE_FAMILIES, PHI_ORDER_CAP, SEQUENCE_NESTING_CAP, main
 from parsym.closures import ClosureReport, DegreeChecks
 from parsym.diagrams import PartitionDiagram, enumerate_diagrams, parse, render, tensor_fold, to_json_obj
@@ -232,8 +232,7 @@ class TestEnumerateCount:
         [(), ("--irreducible",), ("--bullet-irreducible",), ("--irreducible", "--bullet-irreducible")],
     )
     def test_count_is_enumerate_line_count(self, capsys, family, flags):
-        # the counted path (per prefix) and the leaf path (--bullet-irreducible)
-        # both print what enumerate lists
+        # count tallies per prefix of the walk what enumerate lists
         args = (*flags, *(("--family", family) if family else ()))
         for order in range(5):
             _, listed, _ = run_cli(capsys, "enumerate", "--order", str(order), *args)
@@ -252,6 +251,31 @@ class TestEnumerateCount:
         code, out, _ = run_cli(capsys, "count", "--order", "2", "--max-order", "2", flag)
         # 11 diagrams of order 2 are tensor-irreducible, and 11 bullet-irreducible
         assert (code, out) == (0, "11\n")
+
+    def test_order_six_counts(self, capsys):
+        # the bullet-irreducible diagrams number a_k, as the tensor-irreducible ones do
+        a6 = irreducible_counts_by_transfer(6)[-1]
+        for flag in ("--irreducible", "--bullet-irreducible"):
+            assert run_cli(capsys, "count", "--order", "6", flag) == (0, f"{a6}\n", "")
+
+    def test_counts_build_no_diagram(self, capsys, monkeypatch):
+        runs = [
+            ("count", "--order", "4", "--irreducible"),
+            ("count", "--order", "4", "--bullet-irreducible"),
+            ("count", "--order", "4", "--irreducible", "--bullet-irreducible"),
+            ("count", "--order", "4", "--bullet-irreducible", "--family", "planar-matching"),
+            ("hist", "m", "--order", "4"),
+            ("hist", "m", "--order", "4", "--family", "planar"),
+        ]
+        expected = [run_cli(capsys, *argv) for argv in runs]
+
+        def no_diagram(labels):
+            raise AssertionError("a diagram was built")
+
+        monkeypatch.setattr(diagrams, "_diagram", no_diagram)
+        with pytest.raises(AssertionError):
+            run_cli(capsys, "enumerate", "--order", "1")
+        assert [run_cli(capsys, *argv) for argv in runs] == expected
 
 
 class TestSeq:
@@ -354,6 +378,22 @@ class TestVerify:
         data = json.loads(out)
         assert data["passed"] is True
 
+    def test_counts_planar_composites(self, capsys):
+        # the default set keeps five families; the planar composites answer
+        # under --family, against the Catalan, Motzkin and central binomial numbers
+        expected = {
+            "planar-perfect-matching": ("1 1 2 5 14 42", "1 2 5 14 42 132"),
+            "planar-matching": ("2 5 23 130 820 5537", "2 9 51 323 2188 15511"),
+            "planar-partial-permutation": ("2 2 4 10 28 84", "2 6 20 70 252 924"),
+        }
+        for family, (counted, dims) in expected.items():
+            code, out, _ = run_cli(capsys, "verify", "counts", "--terms", "6", "--family", family)
+            assert (code, out) == (0, f"{family}: PASS ({counted})\n")
+            code, out, _ = run_cli(capsys, "seq", f"dim({family})", "--terms", "6")
+            assert (code, out.split()) == (0, dims.split())
+        code, out, _ = run_cli(capsys, "verify", "counts")
+        assert [line.split(":")[0] for line in out.splitlines()] == [f.value for f in cli.FORMULA_FAMILIES]
+        assert len(cli.FORMULA_FAMILIES) == 5
 
 
 class TestVerifyFail:
@@ -447,6 +487,11 @@ class TestHist:
             capsys, "hist", "m", "--order", "2", "--family", "permutation", "--json"
         )
         assert json.loads(out) == {"1": 2}
+
+    def test_order_six_against_series_oracle(self, capsys):
+        code, out, _ = run_cli(capsys, "hist", "m", "--order", "6", "--json")
+        assert code == 0
+        assert {int(m): n for m, n in json.loads(out).items()} == m_counts_by_series(6)
 
     def test_unknown_stat(self, capsys):
         code, _, err = run_cli(capsys, "hist", "q", "--order", "2")

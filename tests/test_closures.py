@@ -1,5 +1,6 @@
 import functools
 import zlib
+from collections import Counter
 from itertools import combinations
 from math import comb
 
@@ -7,6 +8,7 @@ import pytest
 from family_oracle import (
     all_pieces_closure_oracle,
     is_primitive_basis_diagram,
+    m_counts_by_series,
     oracle_member,
 )
 from hopf_oracle import closure_oracle
@@ -24,6 +26,7 @@ from parsym.diagrams import (
     count_diagrams,
     enumerate_diagrams,
     is_tensor_irreducible,
+    m_statistic,
     render,
     split,
     tensor_cuts,
@@ -312,6 +315,16 @@ class TestMDistribution:
                 assert sum(m_distribution(k, family).values()) == family_dimension(
                     family, k
                 )
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_equals_leaf_tally_to_order_five(self, family):
+        for k in range(6):
+            leaves = Counter(m_statistic(d) for d in enumerate_family(k, family))
+            assert m_distribution(k, family) == dict(sorted(leaves.items()))
+
+    def test_series_oracle_to_order_five(self):
+        for k in range(1, 6):
+            assert m_counts_by_series(k) == m_distribution(k, Family.ALL)
 
     def test_cap_refusal(self):
         # the enumeration cap, which max_order lifts

@@ -6,8 +6,10 @@ import pytest
 from parsym.diagrams import (
     EMPTY_DIAGRAM,
     CapExceeded,
+    GrowthRule,
     PartitionDiagram,
-    _tensor_cuts,
+    _slots,
+    _walk,
     bullet,
     bullet_cuts,
     bullet_decompose,
@@ -283,9 +285,22 @@ class TestTensorCuts:
         for d in small_diagrams(4):
             assert tensor_cuts(d) == tensor_cuts_oracle(d)
 
-    def test_first_stops_at_the_first_cut(self):
-        for d in small_diagrams(4):
-            assert _tensor_cuts(d.order, d.labels, first=True) == tensor_cuts_oracle(d)[:1]
+    @pytest.mark.parametrize("noncrossing", [False, True])
+    def test_walk_spans_match_blocks(self, noncrossing):
+        # on every prefix the walk's spans are each block's column range and
+        # cov counts the blocks crossing each line; on a whole diagram the
+        # first line cov leaves uncrossed is its first tensor cut, or k
+        rule = GrowthRule(noncrossing=noncrossing)
+        for k in range(5):
+            for stop in range(2 * k + 1):
+                for labels, blocks, _, (first, last, cov) in _walk(_slots(k)[0], rule, stop, spans=True):
+                    columns = [sorted(abs(v) for v in b) for b in blocks]
+                    assert first == [c[0] for c in columns]
+                    assert last == [c[-1] for c in columns]
+                    assert cov[1:] == [sum(c[0] <= i < c[-1] for c in columns) for i in range(1, k + 1)]
+                    if k and stop == 2 * k:
+                        d = PartitionDiagram(k, blocks)
+                        assert cov.index(0, 1) == [*tensor_cuts_oracle(d), k][0]
 
     def test_cut_iff_splits_brute_force(self):
         for k in range(1, 4):

@@ -1,4 +1,5 @@
 import functools
+from collections import Counter
 
 import pytest
 from family_oracle import irreducible_counts_by_transfer, oracle_member
@@ -10,12 +11,14 @@ from parsym.diagrams import (
     EMPTY_DIAGRAM,
     PartitionDiagram,
     enumerate_diagrams,
+    is_bullet_irreducible,
     is_tensor_irreducible,
+    m_statistic,
     parse,
     tensor,
     tensor_fold,
 )
-from parsym.families import Family, count_family, enumerate_family, family_member
+from parsym.families import Family, count_family, count_family_by_m, enumerate_family, family_member
 from parsym.sequences import (
     family_dimension,
     irreducible_count,
@@ -95,6 +98,18 @@ class TestCountFamily:
                 irreducible += is_tensor_irreducible(d)
             assert count_family(k, family) == members
             assert count_family(k, family, irreducible=True) == irreducible
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_bullet_counts_equal_leaf_filters_to_order_five(self, family):
+        # count --bullet-irreducible, alone and with --irreducible, and the
+        # m tally of the tensor-irreducible members, against the leaves
+        for k in range(6):
+            leaves = list(enumerate_family(k, family))
+            irreducible = [d for d in leaves if is_tensor_irreducible(d)]
+            by_m = count_family_by_m(k, family, irreducible=True)
+            assert by_m == dict(sorted(Counter(map(m_statistic, irreducible)).items()))
+            assert by_m.get(1, 0) == sum(map(is_bullet_irreducible, irreducible))
+            assert count_family_by_m(k, family).get(1, 0) == sum(map(is_bullet_irreducible, leaves))
 
     def test_order_six_generators(self):
         assert _a6() == irreducible_count(6) == 3663123

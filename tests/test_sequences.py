@@ -11,7 +11,7 @@ from family_oracle import (
 )
 
 from parsym.diagrams import CapExceeded
-from parsym.families import Family
+from parsym.families import Family, count_family
 from parsym.sequences import (
     GfReport,
     bell,
@@ -192,9 +192,17 @@ class TestFamilyDimensions:
     def test_sequences(self):
         assert family_dimension_sequence(Family.PERMUTATION, 4) == [1, 2, 6, 24]
 
-    def test_composite_has_no_formula(self):
-        with pytest.raises(ValueError, match="no closed dimension formula"):
-            family_dimension(Family.PLANAR_PERFECT_MATCHING, 2)
+    def test_planar_composite_formulas(self):
+        # Temperley-Lieb: Catalan C_k; Motzkin: M_2k; planar rook: binom(2k, k)
+        assert family_dimension_sequence(Family.PLANAR_PERFECT_MATCHING, 6) == [1, 2, 5, 14, 42, 132]
+        assert family_dimension_sequence(Family.PLANAR_MATCHING, 6) == [2, 9, 51, 323, 2188, 15511]
+        assert family_dimension_sequence(Family.PLANAR_PARTIAL_PERMUTATION, 6) == [2, 6, 20, 70, 252, 924]
+        for family in (
+            Family.PLANAR_PERFECT_MATCHING,
+            Family.PLANAR_MATCHING,
+            Family.PLANAR_PARTIAL_PERMUTATION,
+        ):
+            assert family_dimension_sequence(family, 6) == [count_family(k, family) for k in range(1, 7)]
 
     def test_nonpositive_degree_rejected(self):
         with pytest.raises(ValueError, match="k must be positive"):
@@ -209,6 +217,9 @@ class TestFamilyDimensions:
             Family.MATCHING,
             Family.PERFECT_MATCHING,
             Family.PARTIAL_PERMUTATION,
+            Family.PLANAR_PERFECT_MATCHING,
+            Family.PLANAR_MATCHING,
+            Family.PLANAR_PARTIAL_PERMUTATION,
         ],
     )
     def test_one_pass_sequence_equals_closed_form(self, family):
