@@ -47,7 +47,7 @@ from .diagrams import (
     to_json_obj,
     vertical_compose,
 )
-from .families import Family, enumerate_family, family_member
+from .families import Family, enumerate_family
 from .nsym import (
     Composition,
     NSymElement,

@@ -14,13 +14,15 @@
   order with its cuts, so by induction so is every piece between two cuts.
 
 (a) tests a member's first tensor factor and the rest, a lower-order member
-whose factors were tested before.  Delta of a word is the product of its
-generators' splits and S of a word the regroupings of its reversed word, so
-every coproduct leg and antipode word is a tensor product of such pieces.
-A graded connected sub-bialgebra is closed under S (Takeuchi), so
-``antipode_closed`` repeats ``delta_closed`` for the JSON report.  The flags
-of degree k cover every degree up to k; the primitive members are the
-tensor-irreducible ones with no bullet cut.
+whose factors were tested before.  Every factor and leg has a lower order,
+so it is looked up among the members the walk of that order yielded: the
+walk is the family's definition, and no rule is replayed.  Delta of a word
+is the product of its generators' splits and S of a word the regroupings
+of its reversed word, so every coproduct leg and antipode word is a tensor
+product of such pieces.  A graded connected sub-bialgebra is closed under
+S (Takeuchi), so ``antipode_closed`` repeats ``delta_closed`` for the JSON
+report.  The flags of degree k cover every degree up to k; the primitive
+members are the tensor-irreducible ones with no bullet cut.
 
 ``family_generator_counts`` counts tensor-irreducible members per order,
 which must equal the Boolean transform of the dimension sequence, with
@@ -34,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .diagrams import (
+    EMPTY_DIAGRAM,
     CapExceeded,
     PartitionDiagram,
     bullet_cuts,
@@ -42,7 +45,7 @@ from .diagrams import (
     tensor,
     tensor_cuts,
 )
-from .families import Family, count_family, count_family_by_m, enumerate_family, family_member
+from .families import Family, count_family, count_family_by_m, enumerate_family
 from .sequences import boolean_transform
 
 CLOSURE_CAP = 5
@@ -80,15 +83,19 @@ def closure_report(family: Family, max_degree: int) -> ClosureReport:
         raise CapExceeded(f"closure check for {family.value} capped at degree {CLOSURE_CAP}")
     checks: dict[int, DegreeChecks] = {}
     counterexample: tuple[PartitionDiagram, str] | None = None
-    members, generators = [], []  # n_1..n_k and g_1..g_k
+    members = [{EMPTY_DIAGRAM: None}]  # members[j]: the order-j members in walk order
+    sizes, generators = [], []  # n_1..n_k and g_1..g_k
     tensor_ok = delta_ok = True
     for k in range(1, max_degree + 1):
+        walk = enumerate_family(k, family)
+        if k < max_degree:  # the top order's members are not kept
+            members.append(walk := dict.fromkeys(walk))
         n = g = primitive = 0
-        for d in enumerate_family(k, family):
+        for d in walk:
             n += 1
             cuts = tensor_cuts(d)
             if cuts:
-                if tensor_ok and not all(family_member(f, family) for f in split(d, cuts[:1])):
+                if tensor_ok and not all(f in members[f.order] for f in split(d, cuts[:1])):
                     tensor_ok = delta_ok = False
                     counterexample = counterexample or (d, "tensor")
                 continue
@@ -96,27 +103,31 @@ def closure_report(family: Family, max_degree: int) -> ClosureReport:
             cuts = bullet_cuts(d)
             primitive += not cuts
             legs = (split(d, cuts[-1:])[0], split(d, cuts[:1])[1]) if cuts else ()
-            if delta_ok and not all(family_member(leg, family) for leg in legs):
+            if delta_ok and not all(leg in members[leg.order] for leg in legs):
                 delta_ok = False
                 counterexample = counterexample or (d, "coproduct")
-        members.append(n)
+        sizes.append(n)
         generators.append(g)
-        if tensor_ok and boolean_transform(members) != generators:
+        if tensor_ok and boolean_transform(sizes) != generators:
             tensor_ok = delta_ok = False
-            counterexample = counterexample or (_missing_product(family, k), "tensor")
+            counterexample = counterexample or (_missing_product(family, members, k), "tensor")
         checks[k] = DegreeChecks(tensor_ok, delta_ok, delta_ok, primitive)
     return ClosureReport(family, max_degree, checks, counterexample)
 
 
-def _missing_product(family: Family, k: int) -> PartitionDiagram:
+def _missing_product(
+    family: Family, members: list[dict[PartitionDiagram, None]], k: int
+) -> PartitionDiagram:
     # after a count mismatch at order k with every lower order closed, some
-    # member x times a generator y of order k - order(x) is not a member
+    # member x times a generator y of order k - order(x) is not a member;
+    # the top order's members are walked again only when they were not kept
+    top = members[k] if k < len(members) else set(enumerate_family(k, family))
     return next(
         w
         for j in range(1, k)
-        for x in enumerate_family(j, family)
-        for y in enumerate_family(k - j, family)
-        if is_tensor_irreducible(y) and not family_member(w := tensor(x, y), family)
+        for x in members[j]
+        for y in members[k - j]
+        if is_tensor_irreducible(y) and (w := tensor(x, y)) not in top
     )
 
 
@@ -127,10 +138,7 @@ def family_generator_counts(family: Family, max_k: int) -> list[int]:
             f"generator counts for {family.value} capped at order "
             f"{GENERATOR_COUNT_CAP}"
         )
-    return [
-        count_family(k, family, max_order=GENERATOR_COUNT_CAP, irreducible=True)
-        for k in range(1, max_k + 1)
-    ]
+    return [count_family(k, family, irreducible=True) for k in range(1, max_k + 1)]
 
 
 def m_distribution(k: int, family: Family, max_order: int | None = None) -> dict[int, int]:

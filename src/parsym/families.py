@@ -13,11 +13,11 @@ Each family is defined once, by a ``GrowthRule`` over the node order
 
 The empty diagram belongs to every family.  ``enumerate_family``,
 ``count_family`` and ``count_family_by_m`` prune the walk of
-``enumerate_diagrams`` with the rule;
-``family_member``, which the closure checks use, replays labels through it.
-The planar rules are ``noncrossing``: the walk and the replay keep the
-blocks the next node can join without a crossing as state, updated per
-node by ``diagrams._uncrossed``, so no join scans the blocks.
+``enumerate_diagrams`` with the rule.  That walk is the one membership
+route: the closure certificate looks a diagram up among the members it
+yielded.  The planar rules are ``noncrossing``: the walk keeps the blocks
+the next node can join without a crossing as state, so no join scans the
+blocks.
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ from typing import Iterator
 from .diagrams import (
     GrowthRule,
     PartitionDiagram,
-    _slots,
-    _uncrossed,
     count_by_m,
     count_diagrams,
     enumerate_diagrams,
@@ -107,30 +105,3 @@ def count_family_by_m(
     """Members of order k, or tensor-irreducible ones, per value of the
     bullet statistic m, counted without building one."""
     return count_by_m(k, max_order, _RULES.get(family), irreducible)
-
-
-def family_member(d: PartitionDiagram, family: Family) -> bool:
-    """True iff d's labels, replayed in slot order through the family's
-    rule, admit every node as a join or, where its label is new, as an open.
-    The walk of ``enumerate_family`` visits exactly these paths."""
-    rule = _RULES.get(family)
-    if rule is None:
-        return True
-    joins, opens, noncrossing = rule
-    blocks: list[list[int]] = []
-    seen: tuple[int, ...] = ()
-    k = d.order
-    left = len(d.labels)
-    for i, (v, x) in enumerate(zip(_slots(k)[0], d.labels)):
-        left -= 1
-        if x < len(blocks):
-            if not (joins(blocks, blocks[x], v) and (not noncrossing or x in seen)):
-                return False
-            blocks[x].append(v)
-        elif opens(blocks, v, left):
-            blocks.append([v])
-        else:
-            return False
-        if noncrossing:
-            seen = _uncrossed(seen, blocks, x, i + 1 == k)
-    return True

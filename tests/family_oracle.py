@@ -4,11 +4,12 @@ Membership is decided by predicates over the ``blocks`` view, the
 dimensions by the closed-form sums, the generator counts of the full
 family by a transfer count over open blocks, and its m histogram by powers
 of their generating function.  The library defines each family only by its
-``GrowthRule``; the tests compare ``family_member``, ``enumerate_family``,
-``count_family``, ``count_family_by_m`` and ``family_dimension_sequence``
-against these.
+``GrowthRule``; the tests compare ``enumerate_family``, ``count_family``,
+``count_family_by_m`` and ``family_dimension_sequence`` against these.
 
-It also holds routes the library does not need: the Boolean transform by
+It also holds routes the library does not need: ``family_member``, which
+replays a diagram's labels through the family's rule node by node (the
+library's one membership route is the walk), the Boolean transform by
 the proper-composition recursion and by its generating function (the
 library uses one convolution recurrence), its inverse, the odd double
 factorials, the primitive basis diagrams by their bullet statistic, and
@@ -24,6 +25,8 @@ from typing import Sequence
 from parsym.closures import ClosureReport, DegreeChecks
 from parsym.diagrams import (
     PartitionDiagram,
+    _slots,
+    _uncrossed,
     bullet_cuts,
     is_tensor_irreducible,
     m_statistic,
@@ -31,7 +34,7 @@ from parsym.diagrams import (
     tensor,
     tensor_cuts,
 )
-from parsym.families import Family, enumerate_family, family_member
+from parsym.families import _RULES, Family, enumerate_family
 from parsym.sequences import bell, boolean_transform, compositions
 
 
@@ -149,6 +152,33 @@ _PREDICATES = {
 
 def oracle_member(d: PartitionDiagram, family: Family) -> bool:
     return _PREDICATES[family](d)
+
+
+def family_member(d: PartitionDiagram, family: Family) -> bool:
+    """True iff d's labels, replayed in slot order through the family's
+    rule, admit every node as a join or, where its label is new, as an open.
+    The walk of ``enumerate_family`` visits exactly these paths."""
+    rule = _RULES.get(family)
+    if rule is None:
+        return True
+    joins, opens, noncrossing = rule
+    blocks: list[list[int]] = []
+    seen: tuple[int, ...] = ()
+    k = d.order
+    left = len(d.labels)
+    for i, (v, x) in enumerate(zip(_slots(k)[0], d.labels)):
+        left -= 1
+        if x < len(blocks):
+            if not (joins(blocks, blocks[x], v) and (not noncrossing or x in seen)):
+                return False
+            blocks[x].append(v)
+        elif opens(blocks, v, left):
+            blocks.append([v])
+        else:
+            return False
+        if noncrossing:
+            seen = _uncrossed(seen, blocks, x, i + 1 == k)
+    return True
 
 
 def closed_form_dimension(family: Family, k: int) -> int:

@@ -21,6 +21,8 @@ import functools
 import itertools
 import operator
 
+from family_oracle import family_member
+
 from parsym.algebra import PARSYM, ParSymElement
 from parsym.closures import ClosureReport, DegreeChecks
 from parsym.diagrams import (
@@ -36,7 +38,7 @@ from parsym.diagrams import (
     tensor,
     tensor_factorize,
 )
-from parsym.families import Family, enumerate_family, family_member
+from parsym.families import Family, enumerate_family
 from parsym.linear import LinearCombination
 from parsym.nsym import NSYM, NSymElement, QSymImage, nsym_h
 from parsym.sequences import compositions

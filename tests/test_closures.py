@@ -7,13 +7,14 @@ from math import comb
 import pytest
 from family_oracle import (
     all_pieces_closure_oracle,
+    family_member,
     is_primitive_basis_diagram,
     m_counts_by_series,
     oracle_member,
 )
 from hopf_oracle import closure_oracle
 
-from parsym import families
+from parsym import closures, families
 from parsym.closures import (
     closure_report,
     family_generator_counts,
@@ -31,7 +32,7 @@ from parsym.diagrams import (
     split,
     tensor_cuts,
 )
-from parsym.families import Family, enumerate_family, family_member
+from parsym.families import Family, enumerate_family
 from parsym.sequences import (
     boolean_transform,
     family_dimension,
@@ -174,6 +175,37 @@ class TestCertificate:
             assert report.counterexample == oracle.counterexample, seed
             outcomes.add(report.counterexample and report.counterexample[1])
         assert outcomes == {None, "tensor", "coproduct"}
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_agrees_with_all_pieces_oracle_at_the_cap(self, family):
+        # the oracle replays the rule on every piece; the report looks its
+        # two legs up among the lower-order members of its own walks
+        report, oracle = closure_report(family, 5), all_pieces_closure_oracle(family, 5)
+        assert report.checks == oracle.checks
+        assert report.counterexample == oracle.counterexample
+
+    @pytest.mark.parametrize(
+        "rule, degree, walks, mismatch",
+        [
+            (families._RULES[Family.PLANAR], 4, 4, None),  # closed
+            (seeded_rule(1), 3, 3, 2),  # order 2's members are kept
+            (seeded_rule(45), 3, 4, 3),  # the top order's are walked again
+        ],
+    )
+    def test_one_walk_per_degree(self, monkeypatch, rule, degree, walks, mismatch):
+        calls = []
+
+        def counted(k, family):
+            calls.append(k)
+            return enumerate_family(k, family)
+
+        monkeypatch.setitem(families._RULES, Family.PLANAR, rule)
+        monkeypatch.setattr(closures, "enumerate_family", counted)
+        report = closure_report(Family.PLANAR, degree)
+        assert len(calls) == walks, calls
+        # the first failing degree, a count mismatch with a missing product
+        assert next((k for k, c in report.checks.items() if not c.passed), None) == mismatch
+        assert mismatch is None or report.counterexample[1] == "tensor"
 
     def test_certified_degrees_are_antipode_closed(self, monkeypatch):
         # a graded connected sub-bialgebra is closed under the antipode

@@ -2,7 +2,7 @@ import functools
 from collections import Counter
 
 import pytest
-from family_oracle import irreducible_counts_by_transfer, oracle_member
+from family_oracle import family_member, irreducible_counts_by_transfer, oracle_member
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_diagram_properties import partitions
@@ -18,7 +18,7 @@ from parsym.diagrams import (
     tensor,
     tensor_fold,
 )
-from parsym.families import Family, count_family, count_family_by_m, enumerate_family, family_member
+from parsym.families import Family, count_family, count_family_by_m, enumerate_family
 from parsym.sequences import (
     family_dimension,
     irreducible_count,

@@ -1,7 +1,8 @@
 """Byte-identical CLI output: sha256 digests of stdout for every op verb
 on three fixed diagrams (one of them a reducible word), the antipode and
 E-expansion of two long reducible words, the embedding phi, every
-verification target (closure per family at degree 4, planar at 3), every
+verification target (closure per family at degree 4, planar at 3, and at
+the cap of 5 for the default families and for all), every
 sequence name, and the members of every family (listed in enumeration
 order, counted and binned by the bullet statistic), in text and JSON.
 Each key is the argv, space-joined; a refactor must leave every digest
@@ -227,6 +228,9 @@ GOLDEN = {
     "verify counts --family planar --json": "05515a054442ef5f45888b5a5635f4b6158e903a0e09f3e09edfd2b5556035a8",
     "verify hopf --json": "f39e898ab86dda58d30380f340efa14775ff599c4913dddd3049602765cf656b",
     "verify closure --json": "504077c70e150ac100b651213362650ac99a445e2983ca7192bf2fb253ef7765",
+    # closure at the cap: the default families, and all
+    "verify closure --max-degree 5 --json": "4a919e21eba4c2f71aa93c2925e93973ecc7f8f0b3eb9b1052a161ab4d9e1627",
+    "verify closure --max-degree 5 --family all --json": "deece277b34b18d6df1740e1c85170b79df9c88dfacf93d8161ea0ddd063a04b",
     # the JSON forms of hist, count and filtered enumerate
     "hist m --order 3 --json": "a75a9659debef7128545a1f6e7153547efc42a607ddd6ecc286962902aeca59f",
     "hist m --order 4 --family matching --json": "34fdfd682a0b7ac5c401e9bc6e7b04016f210f4febe5da4e8999bcc64b3c6ab3",

@@ -16,7 +16,7 @@ PUBLIC_NAMES = [
     "character_zeta", "chi", "closure_report", "compositions", "coproduct", "counit",
     "e_basis_expand", "e_h_matrix", "enumerate_diagrams", "enumerate_family",
     "even_bell_sequence", "family_dimension", "family_dimension_sequence",
-    "family_generator_counts", "family_member", "from_json_obj", "h",
+    "family_generator_counts", "from_json_obj", "h",
     "identity_diagram", "irreducible_count", "irreducible_count_sequence",
     "is_bullet_irreducible", "is_tensor_irreducible", "m_distribution", "m_statistic",
     "nsym_antipode", "nsym_coproduct", "nsym_counit", "nsym_h", "parse",
@@ -68,7 +68,6 @@ PARAMETERS = {
     "family_dimension": "family k",
     "family_dimension_sequence": "family n",
     "family_generator_counts": "family max_k",
-    "family_member": "d family",
     "from_json_obj": "obj",
     "h": "d",
     "identity_diagram": "k",
