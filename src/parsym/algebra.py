@@ -5,11 +5,12 @@ extension of horizontal concatenation, so the algebra is free on the
 tensor-irreducible diagrams.  The maps are read off a word's bullet cuts,
 the positions c where it splits as x_c . y_c.  The coproduct of a generator
 pi is the sum of its splits H(x_c) (x) H(y_c), plus the two with an empty
-side; a word's is the product of its factors'.
+side, built once; a word's is the product of its generators' cached images.
 
 The antipode and the E-basis are one regrouping sum over the sets C of a
 word's bullet cuts, which are its tensor factors': sign * (-1)^|C| H(the
-word with every block split at C).  E_d is this sum on d, signed
+word with every block split at C).  One scan of the word's column spans
+gives its tensor and bullet cuts.  E_d is this sum on d, signed
 (-1)^(factors + degree); the antipode of a word of r factors, the reversed
 product of theirs, is this sum on its factors in reverse order, signed
 (-1)^r.  Takeuchi's formula is an independent oracle.
@@ -27,6 +28,7 @@ from .diagrams import (
     CapExceeded,
     PartitionDiagram,
     bullet_cuts,
+    column_cuts,
     enumerate_diagrams,
     regroupings,
     render,
@@ -76,23 +78,23 @@ def _generator_split_pairs(pi: PartitionDiagram) -> tuple[tuple[PartitionDiagram
     )
 
 
-def _regroupings(d: PartitionDiagram, sign: int) -> ParSymElement:
+def _regroupings(d: PartitionDiagram, cuts: list[int], sign: int) -> ParSymElement:
     # sign * (-1)^|C| * H(d split at C) over the sets C of d's bullet cuts;
-    # distinct C, distinct words
-    cuts = bullet_cuts(d)
+    # distinct C, distinct words, so the dict needs no collecting
     if len(cuts) > REGROUPING_CUT_CAP:
         raise CapExceeded(
             f"{len(cuts)} bullet cuts exceed the cap {REGROUPING_CUT_CAP} (2^{len(cuts)} terms)"
         )
-    return ParSymElement({word: sign * (-1) ** n for n, word in regroupings(d, cuts)})
+    return ParSymElement._of({word: sign * (-1) ** n for n, word in regroupings(d, cuts)})
 
 
 def _antipode_word(d: PartitionDiagram) -> ParSymElement:
     # S(H_pi1...pir) = S(H_pir)...S(H_pi1), one regrouping sum on the reversed word
-    factors = _factors(d)
-    if len(factors) > 1:
-        d = tensor_fold(reversed(factors))
-    return _regroupings(d, (-1) ** len(factors))
+    at, cuts = column_cuts(d)
+    if at:
+        d = tensor_fold(reversed(split(d, at)))
+        cuts = column_cuts(d)[1]
+    return _regroupings(d, cuts, (-1) ** (len(at) + 1) if d.order else 1)
 
 
 PARSYM = FreeHopf.on_generators(
@@ -120,7 +122,8 @@ def takeuchi_antipode(a: ParSymElement) -> ParSymElement:
 
 def e_basis_expand(d: PartitionDiagram) -> ParSymElement:
     """The elementary-like basis element indexed by d, in the H-basis."""
-    return _regroupings(d, (-1) ** (_factor_count(d) + d.order))
+    at, cuts = column_cuts(d)
+    return _regroupings(d, cuts, (-1) ** (len(at) + 1 + d.order) if d.order else 1)
 
 
 def character_zeta(a: ParSymElement) -> int:

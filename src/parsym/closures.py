@@ -39,11 +39,10 @@ from .diagrams import (
     EMPTY_DIAGRAM,
     CapExceeded,
     PartitionDiagram,
-    bullet_cuts,
+    column_cuts,
     is_tensor_irreducible,
     split,
     tensor,
-    tensor_cuts,
 )
 from .families import Family, count_family, count_family_by_m, enumerate_family
 from .sequences import boolean_transform
@@ -93,14 +92,13 @@ def closure_report(family: Family, max_degree: int) -> ClosureReport:
         n = g = primitive = 0
         for d in walk:
             n += 1
-            cuts = tensor_cuts(d)
-            if cuts:
-                if tensor_ok and not all(f in members[f.order] for f in split(d, cuts[:1])):
+            at, cuts = column_cuts(d)  # tensor cuts, bullet cuts
+            if at:
+                if tensor_ok and not all(f in members[f.order] for f in split(d, at[:1])):
                     tensor_ok = delta_ok = False
                     counterexample = counterexample or (d, "tensor")
                 continue
             g += 1
-            cuts = bullet_cuts(d)
             primitive += not cuts
             legs = (split(d, cuts[-1:])[0], split(d, cuts[:1])[1]) if cuts else ()
             if delta_ok and not all(leg in members[leg.order] for leg in legs):

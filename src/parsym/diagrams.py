@@ -36,7 +36,7 @@ from __future__ import annotations
 import functools
 import re
 from bisect import bisect_left
-from itertools import accumulate, compress, product
+from itertools import compress, product
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 DEFAULT_MAX_ORDER = 6
@@ -558,7 +558,10 @@ def is_tensor_irreducible(d: PartitionDiagram) -> bool:
 
 def split(d: PartitionDiagram, cuts: list[int]) -> list[PartitionDiagram]:
     """The pieces of d between increasing cut positions, each relabelled: its
-    tensor factors at its tensor cuts, its bullet factors at its bullet cuts."""
+    tensor factors at its tensor cuts, its bullet factors at its bullet cuts.
+    With no cut the one piece is d itself, already canonical."""
+    if not cuts:
+        return [d]
     k, labels = d.order, d.labels
     bounds = [0, *cuts, k]
     return [
@@ -597,8 +600,15 @@ def bullet_cuts(d: PartitionDiagram) -> list[int]:
     """Positions i where i' and (i+1)' share a block and that block is the
     only one crossing the line; exactly the positions of nonempty splits
     d = x . y under the bullet product."""
+    return column_cuts(d)[1]
+
+
+def column_cuts(d: PartitionDiagram) -> tuple[list[int], list[int]]:
+    """d's tensor cuts and bullet cuts from one scan of its blocks' column
+    spans: a line is crossed by the blocks whose span covers it, by none at
+    a tensor cut and at a bullet cut by one, holding both bottom nodes
+    beside the line."""
     k, labels = d.order, d.labels
-    # counts[i]: the blocks crossing position i, from each label's span
     first: dict[int, int] = {}
     last: dict[int, int] = {}
     for c, x, y in zip(range(1, k + 1), labels, labels[k:]):
@@ -607,13 +617,21 @@ def bullet_cuts(d: PartitionDiagram) -> list[int]:
         if y not in first:
             first[y] = c
         last[x] = last[y] = c
-    delta = [0] * (k + 2)
+    delta = [0] * (k + 1)  # the change in crossing blocks at each line
     for x, c in first.items():
         delta[c] += 1
         delta[last[x]] -= 1
-    counts = list(accumulate(delta))
+    tensor_at: list[int] = []
+    bullet_at: list[int] = []
     bottom = labels[k:]
-    return [i for i in range(1, k) if bottom[i - 1] == bottom[i] and counts[i] == 1]
+    crossing = 0
+    for i in range(1, k):
+        crossing += delta[i]
+        if not crossing:
+            tensor_at.append(i)
+        elif crossing == 1 and bottom[i - 1] == bottom[i]:
+            bullet_at.append(i)
+    return tensor_at, bullet_at
 
 
 def bullet_decompose(d: PartitionDiagram) -> list[PartitionDiagram]:

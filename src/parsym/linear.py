@@ -8,10 +8,11 @@ appear at this level); a :class:`TensorSquare` multiplies pairs of words
 componentwise.  Instances are treated as immutable: operations always build
 fresh dicts, and a map's cached image of a basis word may be shared.
 
-Both Hopf algebras are free: :meth:`FreeHopf.on_generators` builds Delta of
-a word as the product of its generators' coproducts, takes S of a word in
-closed form and caches both by word; maps on elements are linear extensions
-(:meth:`LinearCombination.extend`).  One budget, 2^``REGROUPING_CUT_CAP``
+Both Hopf algebras are free: in :meth:`FreeHopf.on_generators` Delta of a
+word is the product of its generators' cached images, each generator's
+built once as the image of a one-generator word; S of a word is taken in
+closed form, and both are cached by word.  Maps on elements are linear
+extensions (:meth:`LinearCombination.extend`).  One budget, 2^``REGROUPING_CUT_CAP``
 terms, bounds the exponential maps: Delta of a word here, S and the
 E-basis where each algebra sums over its cuts.
 """
@@ -183,16 +184,20 @@ class FreeHopf(NamedTuple):
     @classmethod
     def on_generators(cls, factors, coproduct_generator, antipode_word, **fields):
         """The algebra free on the generators that ``factors`` splits a word
-        into: Delta of a word is the product of its generators' coproducts,
-        refused past 2^REGROUPING_CUT_CAP cut choices (the product of their
-        term counts), and ``antipode_word`` gives S of a word in closed form;
-        one cache policy for both."""
+        into, each itself a one-generator word: Delta of a generator is
+        ``coproduct_generator``'s, Delta of a longer word the product of its
+        generators' cached images, refused past 2^REGROUPING_CUT_CAP cut
+        choices (the product of their term counts), and ``antipode_word``
+        gives S of a word in closed form; one cache policy for both."""
         tensor = fields["tensor"]
         cache = functools.lru_cache(maxsize=1 << 16)
 
         @cache
         def coproduct_word(word):
-            legs = [coproduct_generator(factor) for factor in factors(word)]
+            # a one-generator word is built by the generator map, once; a
+            # longer word reads its generators' images from this cache
+            gens = factors(word)
+            legs = list(map(coproduct_word if len(gens) > 1 else coproduct_generator, gens))
             choices = math.prod(len(leg.terms) for leg in legs)
             if choices > 2**REGROUPING_CUT_CAP:
                 raise CapExceeded(f"{choices} coproduct cut choices exceed the cap 2^{REGROUPING_CUT_CAP}")

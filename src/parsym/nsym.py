@@ -3,7 +3,8 @@ morphisms tying it to the partition-diagram algebra.
 
 Basis words are integer compositions (tuples of positive ints); the product
 concatenates, and ``FreeHopf.on_generators`` extends Delta on a one-part
-generator, the full binomial-style sum H_i (x) H_{n-i}, to words.  The
+word H_n, the full binomial-style sum H_i (x) H_{n-i}, to longer words as
+the product of their parts' cached images.  The
 antipode sends H_alpha to the signed sum of H_beta over the refinements beta
 of reversed alpha, so (-1)^n S(H_n) is the elementary generator E_n.
 ``nsym_coproduct``, ``nsym_antipode`` and ``nsym_counit`` are ``NSYM``'s
@@ -77,7 +78,8 @@ def nsym_h(alpha: Composition) -> NSymElement:
     return NSymElement.basis(alpha)
 
 
-def _coproduct_generator(n: int) -> NSymTensor:
+def _coproduct_generator(generator: Composition) -> NSymTensor:
+    (n,) = generator
     return NSymTensor(
         {(((i,) if i else ()), ((n - i,) if n - i else ())): 1 for i in range(n + 1)}
     )
@@ -93,7 +95,7 @@ def _antipode_word(alpha: Composition) -> NSymElement:
 
 
 NSYM = FreeHopf.on_generators(
-    tuple,
+    lambda alpha: [(part,) for part in alpha],
     _coproduct_generator,
     _antipode_word,
     name="nsym",

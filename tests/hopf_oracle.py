@@ -9,6 +9,8 @@ and extend multiplicatively over the tensor factors with a plain
 ``functools.reduce``, so no product code is shared with the library.
 
 It also holds the brute-force checks the library no longer carries: the
+Hopf axiom harness in its two-sided form, which builds both sides of each
+law as elements and compares them, the
 split pairs found by multiplying out every pair of complementary orders,
 Bareiss elimination for the E-to-H determinant, the per-word closure
 check that builds the coproduct and antipode of every family member,
@@ -20,6 +22,7 @@ generators by their recursion.
 import functools
 import itertools
 import operator
+import random
 
 from family_oracle import family_member
 
@@ -39,6 +42,7 @@ from parsym.diagrams import (
     tensor_factorize,
 )
 from parsym.families import Family, enumerate_family
+from parsym.hopfcheck import AxiomReport, AxiomResult, _describe
 from parsym.linear import LinearCombination
 from parsym.nsym import NSYM, NSymElement, QSymImage, nsym_h
 from parsym.sequences import compositions
@@ -72,6 +76,96 @@ def takeuchi_oracle(hopf, a, degree: int):
             if all(hopf.degree(key) for key in tup)
         )
     return result
+
+
+def verify_axioms_oracle(hopf, max_degree: int, seed: int) -> AxiomReport:
+    """Reference for ``hopfcheck.verify_axioms``: the same witnesses, drawn
+    from the same seeded ``rng`` in the same order, with both sides of each
+    law built as elements and compared, and Takeuchi's formula in its tuple
+    form; each axiom reports the first witness it fails on."""
+    rng = random.Random(seed)
+    element, mul = hopf.element, hopf.element._mul_key
+    levels = {n: list(hopf.basis(n)) for n in range(max_degree + 1)}
+
+    def random_element(homogeneous: bool):
+        if homogeneous:
+            degrees = [rng.randint(0, max_degree)] * 3
+        else:
+            degrees = [rng.randint(0, max_degree) for _ in range(3)]
+        return element((rng.choice(levels[n]), rng.randint(-3, 3)) for n in degrees)
+
+    singletons = [element.basis(key) for n in range(max_degree + 1) for key in levels[n]]
+    mixed = [random_element(homogeneous=False) for _ in range(10)]
+    homogeneous = [random_element(homogeneous=True) for _ in range(10)]
+    pool = singletons + mixed
+
+    def random_pairs():
+        for _ in range(60):
+            yield rng.choice(pool), rng.choice(pool)
+
+    def coassociative(a) -> bool:
+        # (id x Delta) Delta = (Delta x id) Delta
+        pairs = hopf.coproduct(a).terms.items()
+        left = LinearCombination(
+            ((u, v, y), coeff * c)
+            for (x, y), coeff in pairs
+            for (u, v), c in hopf.coproduct_word(x).terms.items()
+        )
+        right = LinearCombination(
+            ((x, u, v), coeff * c)
+            for (x, y), coeff in pairs
+            for (u, v), c in hopf.coproduct_word(y).terms.items()
+        )
+        return left == right
+
+    def counital(a) -> bool:
+        # (eps x id) Delta = id = (id x eps) Delta
+        pairs = hopf.coproduct(a).terms.items()
+        left = element((y, coeff) for (x, y), coeff in pairs if hopf.degree(x) == 0)
+        right = element((x, coeff) for (x, y), coeff in pairs if hopf.degree(y) == 0)
+        return left == a == right
+
+    def antipode_left(a) -> bool:
+        # mul (S x id) Delta = unit eps
+        return element(
+            (mul(k, y), coeff * c)
+            for (x, y), coeff in hopf.coproduct(a).terms.items()
+            for k, c in hopf.antipode_word(x).terms.items()
+        ) == hopf.counit(a) * element.one()
+
+    def antipode_right(a) -> bool:
+        # mul (id x S) Delta = unit eps
+        return element(
+            (mul(x, k), coeff * c)
+            for (x, y), coeff in hopf.coproduct(a).terms.items()
+            for k, c in hopf.antipode_word(y).terms.items()
+        ) == hopf.counit(a) * element.one()
+
+    def compatible(a, b) -> bool:
+        return hopf.coproduct(a * b) == hopf.coproduct(a) * hopf.coproduct(b)
+
+    def antimorphic(a, b) -> bool:
+        return hopf.antipode(a * b) == hopf.antipode(b) * hopf.antipode(a)
+
+    def agrees_with_takeuchi(a) -> bool:
+        degree = max((hopf.degree(k) for k in a.terms), default=0)
+        return takeuchi_oracle(hopf, a, degree) == hopf.antipode(a)
+
+    table = (
+        ("coassociativity", zip(pool), coassociative),
+        ("counit", zip(pool), counital),
+        ("compatibility", random_pairs(), compatible),
+        ("antipode-left", zip(pool), antipode_left),
+        ("antipode-right", zip(pool), antipode_right),
+        ("antihomomorphism", random_pairs(), antimorphic),
+        ("takeuchi", zip(singletons + homogeneous), agrees_with_takeuchi),
+    )
+    results = []
+    for name, witnesses, holds in table:
+        bad = next((w for w in witnesses if not holds(*w)), None)
+        text = None if bad is None else "at " + " ; ".join(_describe(hopf, a) for a in bad)
+        results.append(AxiomResult(name, bad is None, text))
+    return AxiomReport(hopf.name, max_degree, tuple(results))
 
 
 def split_pairs_oracle(pi: PartitionDiagram) -> list[tuple[PartitionDiagram, PartitionDiagram]]:

@@ -1,8 +1,17 @@
+import functools
+import operator
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
-from hopf_oracle import _det_bareiss, coproduct_pairs_oracle, takeuchi_oracle
+from hopf_oracle import (
+    _det_bareiss,
+    coproduct_pairs_oracle,
+    split_pairs_oracle,
+    takeuchi_oracle,
+    verify_axioms_oracle,
+)
 
 from parsym.algebra import (
     PARSYM,
@@ -30,8 +39,10 @@ from parsym.diagrams import (
     m_statistic,
     parse,
     tensor,
+    tensor_factorize,
     tensor_fold,
 )
+from parsym.linear import FreeHopf
 
 D4 = parse("1,2,3/4/1',2'/3',4'")
 D4_LEFT = parse("1,2,3/1',2'/3'")
@@ -155,6 +166,35 @@ class TestCoproduct:
         word = tensor_fold([ID1, SINGLETONS] * 10)
         with pytest.raises(CapExceeded, match=r"^1048576 coproduct cut choices exceed the cap 2\^19$"):
             coproduct(h(word))
+
+
+def _direct_coproduct(pi):
+    """Delta of a generator from its bullet-folded split pairs."""
+    return DiagramTensor(dict.fromkeys(split_pairs_oracle(pi), 1))
+
+
+class TestKernel:
+    def test_repeated_generator_built_once(self):
+        # a fresh kernel on ParSym's generators, its generator map counting calls
+        calls = Counter()
+
+        def coproduct_generator(pi):
+            calls[pi] += 1
+            return _direct_coproduct(pi)
+
+        fields = PARSYM._asdict()
+        del fields["coproduct_word"], fields["antipode_word"]
+        hopf = FreeHopf.on_generators(algebra._factors, coproduct_generator, algebra._antipode_word, **fields)
+        word = tensor_fold([D4, SINGLETONS, D4, D4, SINGLETONS])
+        assert hopf.coproduct_word(word) == coproduct(h(word))
+        assert calls == {D4: 1, SINGLETONS: 1}
+        assert hopf.coproduct_word(tensor(SINGLETONS, D4)) == coproduct(h(tensor(SINGLETONS, D4)))
+        assert calls == {D4: 1, SINGLETONS: 1}
+
+    def test_words_are_products_of_direct_generator_coproducts(self):
+        for d in basis_up_to(4)[1:]:
+            expected = functools.reduce(operator.mul, map(_direct_coproduct, tensor_factorize(d)))
+            assert coproduct(h(d)) == expected
 
 
 class TestCounit:
@@ -430,6 +470,27 @@ class TestAxiomHarness:
     @pytest.mark.parametrize("degree", range(4))
     def test_report_lines(self, degree):
         assert verify_hopf_axioms(degree).lines() == ALL_PASS
+
+    @pytest.mark.parametrize("seed", range(1, 6))
+    @pytest.mark.parametrize("degree", range(4))
+    def test_matches_reference_harness(self, degree, seed):
+        assert verify_hopf_axioms(degree, seed).lines() == verify_axioms_oracle(PARSYM, degree, seed).lines()
+
+    @pytest.mark.parametrize("seed", (1, 5, 7))
+    @pytest.mark.parametrize("degree", (2, 3))
+    @pytest.mark.parametrize("fake", ("coproduct", "antipode"))
+    def test_fakes_match_reference_harness(self, fake, degree, seed):
+        hopf = _corrupted(parse("1,1',2'/2")) if fake == "coproduct" else _corrupted_antipode(ID1)
+        report = hopfcheck.verify_axioms(hopf, degree, seed)
+        assert not report.all_passed
+        assert report.lines() == verify_axioms_oracle(hopf, degree, seed).lines()
+
+    @pytest.mark.parametrize("block", (1, 7))
+    def test_pool_blocks_keep_first_witnesses(self, monkeypatch, block):
+        # each law reports its first failure in pool order, however the pool is blocked
+        monkeypatch.setattr(hopfcheck, "POOL_BLOCK", block)
+        for hopf in (_corrupted(parse("1,1',2'/2")), _corrupted_antipode(ID1)):
+            assert hopfcheck.verify_axioms(hopf, 3, seed=5).lines() == verify_axioms_oracle(hopf, 3, 5).lines()
 
     def test_corrupted_coproduct_report_lines(self):
         report = hopfcheck.verify_axioms(_corrupted(parse("1,1',2'/2")), 2, seed=5)

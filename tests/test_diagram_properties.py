@@ -17,6 +17,7 @@ from parsym.diagrams import (
     bullet_cuts,
     bullet_decompose,
     bullet_fold,
+    column_cuts,
     from_json_obj,
     parse,
     regroupings,
@@ -136,6 +137,7 @@ def test_tensor_fold_matches_oracle(ds):
 def test_cuts_match_oracle(d):
     assert tensor_cuts(d) == tensor_cuts_oracle(d)
     assert bullet_cuts(d) == bullet_cuts_oracle(d)
+    assert column_cuts(d) == (tensor_cuts_oracle(d), bullet_cuts_oracle(d))
 
 
 @PROPERTIES

@@ -1,8 +1,9 @@
 """Byte-identical CLI output: sha256 digests of stdout for every op verb
 on three fixed diagrams (one of them a reducible word), the antipode and
 E-expansion of two long reducible words, the embedding phi, every
-verification target (closure per family at degree 4, planar at 3, and at
-the cap of 5 for the default families and for all), every
+verification target (the Hopf axioms at degrees 3 and 4, closure per
+family at degree 4, planar at 3, and at the cap of 5 for the default
+families and for all), every
 sequence name, and the members of every family (listed in enumeration
 order, counted and binned by the bullet statistic), in text and JSON.
 Each key is the argv, space-joined; a refactor must leave every digest
@@ -63,6 +64,9 @@ GOLDEN = {
     "op phi (2,1,3)": "f26ca11e63b0b64c5202f6f3cddf6dd1bb4a68024ab4b8f1e55b7b1f96b755e7",
     "verify hopf --max-degree 3": "c397491be086b26e6aa9a13e6057c1c76e0062cf3729eaaa61c1bcea54a9153e",
     "verify hopf --max-degree 3 --json": "045f0a2687f1194e116f1495e7cd05bba0be6e603a97e5c87293f40620ba3597",
+    # the degree of the benchmark's axiom job
+    "verify hopf --max-degree 4": "c397491be086b26e6aa9a13e6057c1c76e0062cf3729eaaa61c1bcea54a9153e",
+    "verify hopf --max-degree 4 --json": "b0393b8a22e51da793ed9503d55be25ba0e9a806dc5f004d10385edd6d66157e",
     "verify closure --max-degree 3": "0465a7127001f96cac78fec64e32ce0e7a28f59e750ef1691526914a2f26f418",
     "verify closure --max-degree 3 --json": "504077c70e150ac100b651213362650ac99a445e2983ca7192bf2fb253ef7765",
     # exhaustive sweeps: the order-5 generator count and the family counts

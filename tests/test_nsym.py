@@ -1,9 +1,16 @@
 import functools
 import operator
 import random
+from collections import Counter
 
 import pytest
-from hopf_oracle import nsym_e, qsym_matrix_count, qsym_word_oracle, takeuchi_oracle
+from hopf_oracle import (
+    nsym_e,
+    qsym_matrix_count,
+    qsym_word_oracle,
+    takeuchi_oracle,
+    verify_axioms_oracle,
+)
 
 from parsym import hopfcheck
 from parsym.algebra import ParSymElement, antipode, character_zeta, coproduct, h
@@ -13,6 +20,7 @@ from parsym.diagrams import (
     enumerate_diagrams,
     parse,
 )
+from parsym.linear import FreeHopf
 from parsym.nsym import (
     NSYM,
     NSymElement,
@@ -157,12 +165,7 @@ class TestNSymAlgebra:
             assert hopfcheck.takeuchi(NSYM, x, n) == takeuchi_oracle(NSYM, x, n) == nsym_antipode(x)
 
     def test_corrupted_antipode_report_lines(self):
-        def antipode_word(alpha):
-            image = NSYM.antipode_word(alpha)
-            return image + nsym_h(alpha) if alpha == (2,) else image
-
-        fake = NSYM._replace(name="nsym-corrupted", antipode_word=antipode_word)
-        assert hopfcheck.verify_axioms(fake, 3, seed=5).lines() == [
+        assert hopfcheck.verify_axioms(_corrupted_antipode(), 3, seed=5).lines() == [
             "coassociativity: PASS",
             "counit: PASS",
             "compatibility: PASS",
@@ -171,6 +174,85 @@ class TestNSymAlgebra:
             "antihomomorphism: FAIL (at 1*H(2) ; -4*H(1) + 3*H(3))",
             "takeuchi: FAIL (at 1*H(2))",
         ]
+
+    def test_corrupted_coproduct_report_lines(self):
+        assert hopfcheck.verify_axioms(_corrupted_coproduct(), 4, seed=5).lines() == [
+            "coassociativity: FAIL (at 1*H(3))",
+            "counit: PASS",
+            "compatibility: FAIL (at 1*H(3,1) ; 1*H(3))",
+            "antipode-left: FAIL (at 1*H(3))",
+            "antipode-right: FAIL (at 1*H(3))",
+            "antihomomorphism: PASS",
+            "takeuchi: FAIL (at 1*H(3))",
+        ]
+
+    @pytest.mark.parametrize("seed", range(1, 6))
+    @pytest.mark.parametrize("degree", range(7))
+    def test_matches_reference_harness(self, degree, seed):
+        assert verify_nsym_hopf_axioms(degree, seed).lines() == verify_axioms_oracle(NSYM, degree, seed).lines()
+
+    @pytest.mark.parametrize("seed", (1, 5, 7))
+    @pytest.mark.parametrize("degree", (3, 4))
+    @pytest.mark.parametrize("fake", ("coproduct", "antipode"))
+    def test_fakes_match_reference_harness(self, fake, degree, seed):
+        hopf = _corrupted_coproduct() if fake == "coproduct" else _corrupted_antipode()
+        report = hopfcheck.verify_axioms(hopf, degree, seed)
+        assert not report.all_passed
+        assert report.lines() == verify_axioms_oracle(hopf, degree, seed).lines()
+
+
+def _corrupted_antipode():
+    """NSYM with H(2) added to the antipode of H(2)."""
+
+    def antipode_word(alpha):
+        image = NSYM.antipode_word(alpha)
+        return image + nsym_h(alpha) if alpha == (2,) else image
+
+    return NSYM._replace(name="nsym-corrupted", antipode_word=antipode_word)
+
+
+def _corrupted_coproduct():
+    """NSYM with the term H(1) (x) H(2) dropped from the coproduct of H(3)."""
+
+    def coproduct_word(alpha):
+        terms = NSYM.coproduct_word(alpha).terms
+        if alpha == (3,):
+            terms = {pair: c for pair, c in terms.items() if pair != ((1,), (2,))}
+        return NSymTensor(terms)
+
+    return NSYM._replace(name="nsym-corrupted", coproduct_word=coproduct_word)
+
+
+class TestKernel:
+    def test_repeated_generator_built_once(self):
+        # a fresh kernel on NSym's one-part generators, its generator map counting calls
+        calls = Counter()
+
+        def coproduct_generator(generator):
+            calls[generator] += 1
+            return _direct_coproduct(generator)
+
+        fields = NSYM._asdict()
+        del fields["coproduct_word"], fields["antipode_word"]
+        factors = lambda alpha: [(part,) for part in alpha]  # noqa: E731
+        hopf = FreeHopf.on_generators(factors, coproduct_generator, NSYM.antipode_word, **fields)
+        assert hopf.coproduct_word((2, 1, 2, 2)) == nsym_coproduct(nsym_h((2, 1, 2, 2)))
+        assert calls == {(2,): 1, (1,): 1}
+        assert hopf.coproduct_word((1, 2)) == nsym_coproduct(nsym_h((1, 2)))
+        assert calls == {(2,): 1, (1,): 1}
+
+    def test_words_are_products_of_direct_generator_coproducts(self):
+        for n in range(1, 7):
+            for alpha in compositions(n):
+                expected = functools.reduce(operator.mul, (_direct_coproduct((a,)) for a in alpha))
+                assert nsym_coproduct(nsym_h(alpha)) == expected
+
+
+def _direct_coproduct(generator):
+    """Delta(H_n), the sum of H_i (x) H_(n-i), with H_0 the empty word."""
+    (n,) = generator
+    part = lambda i: (i,) if i else ()  # noqa: E731
+    return NSymTensor({(part(i), part(n - i)): 1 for i in range(n + 1)})
 
 
 class TestZeta:
