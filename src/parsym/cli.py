@@ -182,9 +182,15 @@ def _family(ns) -> Family:
     return Family.from_name(ns.family) if ns.family else Family.ALL
 
 
+def _max_order(ns) -> int | None:
+    if ns.max_order is not None and ns.max_order < 0:
+        raise ValueError(f"--max-order must be nonnegative, got {ns.max_order}")
+    return ns.max_order
+
+
 def _run_enumerate(ns) -> int:
     # not a generator, so the cap check runs at the call, before any output
-    members = enumerate_family(ns.order, _family(ns), max_order=ns.max_order)
+    members = enumerate_family(ns.order, _family(ns), max_order=_max_order(ns))
     if ns.irreducible:
         members = filter(is_tensor_irreducible, members)
     if ns.bullet_irreducible:
@@ -194,13 +200,13 @@ def _run_enumerate(ns) -> int:
 
 
 def _run_count(ns) -> int:
-    # counted per prefix of the walk, with no diagram built; the
-    # bullet-irreducible diagrams are those with m = 1
-    family = _family(ns)
+    # counted with no diagram built: column by column, or per prefix of the
+    # walk for the bullet-irreducible diagrams, those with m = 1
+    family, max_order = _family(ns), _max_order(ns)
     if ns.bullet_irreducible:
-        count = count_family_by_m(ns.order, family, ns.max_order, ns.irreducible).get(1, 0)
+        count = count_family_by_m(ns.order, family, max_order, ns.irreducible).get(1, 0)
     else:
-        count = count_family(ns.order, family, ns.max_order, ns.irreducible)
+        count = count_family(ns.order, family, max_order, ns.irreducible)
     _value_out(count, ns.json)
     return 0
 
@@ -346,7 +352,7 @@ def _run_verify(ns) -> int:
 def _run_hist(ns) -> int:
     if ns.stat != "m":
         raise ValueError("only 'hist m' is available")
-    histogram = closures.m_distribution(ns.order, _family(ns), max_order=ns.max_order)
+    histogram = closures.m_distribution(ns.order, _family(ns), max_order=_max_order(ns))
     if ns.json:
         print(json.dumps({str(k): v for k, v in histogram.items()}))
     else:

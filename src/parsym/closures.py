@@ -25,10 +25,11 @@ report.  The flags of degree k cover every degree up to k; the primitive
 members are the tensor-irreducible ones with no bullet cut.
 
 ``family_generator_counts`` counts tensor-irreducible members per order,
-which must equal the Boolean transform of the dimension sequence, with
-``count_family``, and ``m_distribution`` bins the bullet statistic with
-``count_family_by_m``: both read the last node's choices off each prefix of
-the member walk and its column spans, with no member built.
+which must equal the Boolean transform of the dimension sequence, from one
+pass of the family's transfer moves (``family_counts``), and
+``m_distribution`` bins the bullet statistic with ``count_family_by_m``,
+which reads the last node's choices off each prefix of the member walk and
+its column spans.  Neither builds a member.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .diagrams import (
     split,
     tensor,
 )
-from .families import Family, count_family, count_family_by_m, enumerate_family
+from .families import Family, count_family_by_m, enumerate_family, family_counts
 from .sequences import boolean_transform
 
 CLOSURE_CAP = 5
@@ -130,13 +131,14 @@ def _missing_product(
 
 
 def family_generator_counts(family: Family, max_k: int) -> list[int]:
-    """Number of tensor-irreducible members per order, k = 1..max_k."""
+    """Number of tensor-irreducible members per order, k = 1..max_k, from
+    one column-by-column transfer count with no member built."""
     if max_k > GENERATOR_COUNT_CAP:
         raise CapExceeded(
             f"generator counts for {family.value} capped at order "
             f"{GENERATOR_COUNT_CAP}"
         )
-    return [count_family(k, family, irreducible=True) for k in range(1, max_k + 1)]
+    return family_counts(max_k, family, irreducible=True)[1:]
 
 
 def m_distribution(k: int, family: Family, max_order: int | None = None) -> dict[int, int]:

@@ -243,46 +243,13 @@ def enumerate_diagrams(
     lexicographic order over the node order (Knuth, TAOCP 4A 7.2.1.5); the
     count is the Bell number of 2k.  With a ``rule``, yield only the
     diagrams it admits, in the same order.  The walk is a lazy depth-first
-    loop over one label string; ``count_diagrams`` and ``count_by_m`` stop
-    the same walk one node early and build no diagram.  Refuses k beyond the
-    cap, ``max_order`` (default 6)."""
+    loop over one label string; ``count_by_m`` stops the same walk one node
+    early and builds no diagram.  Refuses k beyond the cap, ``max_order``
+    (default 6)."""
     _check_order(k, max_order)
     # blocks open in slot order, so the labels are already an RGS
     walk = _walk(_slots(k)[0], rule or GrowthRule(), 2 * k)
     return (_diagram(tuple(labels)) for labels, _, _, _ in walk)
-
-
-def count_diagrams(
-    k: int, max_order: int | None = None, rule: GrowthRule | None = None, irreducible: bool = False
-) -> int:
-    """The number of diagrams ``enumerate_diagrams`` yields, or with
-    ``irreducible`` of the tensor-irreducible ones, under the same cap.
-    No diagram is built: the walk stops before the last node k' and counts
-    its admitted choices on each prefix.  With ``irreducible`` the walk
-    keeps its spans, and the prefix's first uncrossed line ``cut`` (k if
-    none) settles each choice: k' alone crosses no line, so an open leaves
-    no tensor cut iff cut is k, and a join to block y iff y lies at or left
-    of cut, since it then crosses every line from y's first column on."""
-    _check_order(k, max_order)
-    if k == 0:
-        return int(not irreducible)
-    joins, opens, _ = rule = rule or GrowthRule()
-    free = joins is _always  # k' may join every block it can reach
-    count = 0
-    for _, blocks, seen, span in _walk(_slots(k)[0], rule, 2 * k - 1, irreducible):
-        if irreducible:
-            first, _, cov = span
-            cut = cov.index(0, 1)
-            if cut < k:
-                left = [x for x in (range(len(blocks)) if seen is None else seen) if first[x] <= cut]
-                count += len(left) if free else sum(joins(blocks, blocks[x], -k) for x in left)
-                continue
-        choices = blocks if seen is None else [blocks[x] for x in seen]
-        if free:
-            count += len(choices) + opens(blocks, -k, 0)
-        else:
-            count += sum(joins(blocks, b, -k) for b in choices) + opens(blocks, -k, 0)
-    return count
 
 
 def count_by_m(
@@ -290,13 +257,14 @@ def count_by_m(
 ) -> dict[int, int]:
     """The diagrams ``enumerate_diagrams`` yields, or with ``irreducible``
     the tensor-irreducible ones, counted per value of the bullet statistic
-    m, in increasing m.  Like ``count_diagrams`` it reads each choice of the
-    last node k' off the walk's spans and builds no diagram.  The prefix's
-    bullet cuts left of line k - 1 are the lines i whose i' and (i+1)' share
-    a block crossing i alone.  A join of k' to block y crosses every line
-    from y's last column on once more, so it keeps the cuts left of that
-    column, and it adds the cut k - 1 iff y holds (k-1)' and then crosses
-    that line alone; an open keeps every cut."""
+    m, in increasing m.  The walk stops before the last node k', whose
+    admitted choices on each prefix are read off the walk's spans, so no
+    diagram is built.  The prefix's bullet cuts left of line k - 1 are the
+    lines i whose i' and (i+1)' share a block crossing i alone.  A join of
+    k' to block y crosses every line from y's last column on once more, so
+    it keeps the cuts left of that column, and it adds the cut k - 1 iff y
+    holds (k-1)' and then crosses that line alone; an open keeps every
+    cut."""
     _check_order(k, max_order)
     if k == 0:
         return {} if irreducible else {0: 1}

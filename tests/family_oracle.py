@@ -3,14 +3,17 @@
 Membership is decided by predicates over the ``blocks`` view, the
 dimensions by the closed-form sums, the generator counts of the full
 family by a transfer count over open blocks, and its m histogram by powers
-of their generating function.  The library defines each family only by its
-``GrowthRule``; the tests compare ``enumerate_family``, ``count_family``,
-``count_family_by_m`` and ``family_dimension_sequence`` against these.
+of their generating function.  The library defines each family by its
+``GrowthRule``, and its counts by a move table; the tests compare
+``enumerate_family``, ``count_family``, ``count_family_by_m`` and
+``family_dimension_sequence`` against these.
 
 It also holds routes the library does not need: ``family_member``, which
 replays a diagram's labels through the family's rule node by node (the
-library's one membership route is the walk), the Boolean transform by
-the proper-composition recursion and by its generating function (the
+library's one membership route is the walk), ``count_diagrams``, which
+counts the members on the rule's walk stopped one node early (the library
+counts them column by column over the open blocks), the Boolean transform
+by the proper-composition recursion and by its generating function (the
 library uses one convolution recurrence), its inverse, the odd double
 factorials, the primitive basis diagrams by their bullet statistic, and
 the closure certificate that tests every tensor factor and every piece
@@ -24,9 +27,13 @@ from typing import Sequence
 
 from parsym.closures import ClosureReport, DegreeChecks
 from parsym.diagrams import (
+    GrowthRule,
     PartitionDiagram,
+    _always,
+    _check_order,
     _slots,
     _uncrossed,
+    _walk,
     bullet_cuts,
     is_tensor_irreducible,
     m_statistic,
@@ -179,6 +186,39 @@ def family_member(d: PartitionDiagram, family: Family) -> bool:
         if noncrossing:
             seen = _uncrossed(seen, blocks, x, i + 1 == k)
     return True
+
+
+def count_diagrams(
+    k: int, max_order: int | None = None, rule: GrowthRule | None = None, irreducible: bool = False
+) -> int:
+    """The number of diagrams ``enumerate_diagrams`` yields, or with
+    ``irreducible`` of the tensor-irreducible ones, under the same cap.
+    No diagram is built: the walk stops before the last node k' and counts
+    its admitted choices on each prefix.  With ``irreducible`` the walk
+    keeps its spans, and the prefix's first uncrossed line ``cut`` (k if
+    none) settles each choice: k' alone crosses no line, so an open leaves
+    no tensor cut iff cut is k, and a join to block y iff y lies at or left
+    of cut, since it then crosses every line from y's first column on."""
+    _check_order(k, max_order)
+    if k == 0:
+        return int(not irreducible)
+    joins, opens, _ = rule = rule or GrowthRule()
+    free = joins is _always  # k' may join every block it can reach
+    count = 0
+    for _, blocks, seen, span in _walk(_slots(k)[0], rule, 2 * k - 1, irreducible):
+        if irreducible:
+            first, _, cov = span
+            cut = cov.index(0, 1)
+            if cut < k:
+                left = [x for x in (range(len(blocks)) if seen is None else seen) if first[x] <= cut]
+                count += len(left) if free else sum(joins(blocks, blocks[x], -k) for x in left)
+                continue
+        choices = blocks if seen is None else [blocks[x] for x in seen]
+        if free:
+            count += len(choices) + opens(blocks, -k, 0)
+        else:
+            count += sum(joins(blocks, b, -k) for b in choices) + opens(blocks, -k, 0)
+    return count
 
 
 def closed_form_dimension(family: Family, k: int) -> int:

@@ -232,7 +232,7 @@ class TestEnumerateCount:
         [(), ("--irreducible",), ("--bullet-irreducible",), ("--irreducible", "--bullet-irreducible")],
     )
     def test_count_is_enumerate_line_count(self, capsys, family, flags):
-        # count tallies per prefix of the walk what enumerate lists
+        # count tallies, with no diagram built, what enumerate lists
         args = (*flags, *(("--family", family) if family else ()))
         for order in range(5):
             _, listed, _ = run_cli(capsys, "enumerate", "--order", str(order), *args)
@@ -253,7 +253,9 @@ class TestEnumerateCount:
         assert (code, out) == (0, "11\n")
 
     def test_order_six_counts(self, capsys):
-        # the bullet-irreducible diagrams number a_k, as the tensor-irreducible ones do
+        # the bullet-irreducible diagrams number a_k, as the tensor-irreducible
+        # ones do; --bullet-irreducible walks all of order 6, --irreducible
+        # counts column by column
         a6 = irreducible_counts_by_transfer(6)[-1]
         for flag in ("--irreducible", "--bullet-irreducible"):
             assert run_cli(capsys, "count", "--order", "6", flag) == (0, f"{a6}\n", "")
@@ -529,6 +531,13 @@ class TestSizes:
         code, out, err = run_cli(capsys, *argv.split())
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", ["count --order 2", "enumerate --order 2", "hist m --order 2"])
+    def test_negative_max_order_is_malformed(self, capsys, argv):
+        # refused as input, not as a cap the order exceeds
+        code, out, err = run_cli(capsys, *argv.split(), "--max-order", "-3")
+        assert (code, out, err) == (2, "", "error: --max-order must be nonnegative, got -3\n")
+        assert run_cli(capsys, *argv.split()[:-1], "0", "--max-order", "0")[0] == 0
 
     @pytest.mark.parametrize(
         "argv, flag",

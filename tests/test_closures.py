@@ -7,6 +7,7 @@ from math import comb
 import pytest
 from family_oracle import (
     all_pieces_closure_oracle,
+    count_diagrams,
     family_member,
     is_primitive_basis_diagram,
     m_counts_by_series,
@@ -24,7 +25,6 @@ from parsym.diagrams import (
     CapExceeded,
     GrowthRule,
     bullet_cuts,
-    count_diagrams,
     enumerate_diagrams,
     is_tensor_irreducible,
     m_statistic,

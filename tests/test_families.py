@@ -2,13 +2,19 @@ import functools
 from collections import Counter
 
 import pytest
-from family_oracle import family_member, irreducible_counts_by_transfer, oracle_member
+from family_oracle import (
+    count_diagrams,
+    family_member,
+    irreducible_counts_by_transfer,
+    oracle_member,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_diagram_properties import partitions
 
 from parsym.diagrams import (
     EMPTY_DIAGRAM,
+    CapExceeded,
     PartitionDiagram,
     enumerate_diagrams,
     is_bullet_irreducible,
@@ -18,9 +24,18 @@ from parsym.diagrams import (
     tensor,
     tensor_fold,
 )
-from parsym.families import Family, count_family, count_family_by_m, enumerate_family
+from parsym.families import (
+    _RULES,
+    Family,
+    count_family,
+    count_family_by_m,
+    enumerate_family,
+    family_counts,
+)
 from parsym.sequences import (
+    boolean_transform,
     family_dimension,
+    family_dimension_sequence,
     irreducible_count,
     irreducible_count_sequence,
 )
@@ -81,13 +96,18 @@ class TestCounts:
 
 
 @functools.cache
+def _walk_count(k, family, irreducible):
+    return count_diagrams(k, rule=_RULES.get(family), irreducible=irreducible)
+
+
 def _a6():
-    # the paper's a_6 by enumeration, about 3 s
-    return count_family(6, Family.ALL, irreducible=True)
+    # the paper's a_6 by enumeration, about 1.5 s
+    return _walk_count(6, Family.ALL, True)
 
 
 class TestCountFamily:
-    """``count_family`` counts the last node's choices per prefix of the walk."""
+    """``count_family`` counts column by column over the open blocks; the
+    oracle ``count_diagrams`` counts the same members on the rule's walk."""
 
     @pytest.mark.parametrize("family", list(Family))
     def test_equals_leaf_counts_to_order_five(self, family):
@@ -98,6 +118,35 @@ class TestCountFamily:
                 irreducible += is_tensor_irreducible(d)
             assert count_family(k, family) == members
             assert count_family(k, family, irreducible=True) == irreducible
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_equals_walk_counts_to_order_six(self, family):
+        for k in range(7):
+            for irreducible in (False, True):
+                walked = _walk_count(k, family, irreducible)
+                assert count_family(k, family, irreducible=irreducible) == walked, (k, irreducible)
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_far_orders_equal_the_dimensions(self, family):
+        # the paper's generator counts for every subalgebra, past the walk
+        dims = family_dimension_sequence(family, 30)
+        counted = [count_family(k, family, max_order=30) for k in range(1, 31)]
+        assert counted == dims == family_counts(30, family)[1:]
+        generators = [count_family(k, family, max_order=30, irreducible=True) for k in range(1, 31)]
+        assert generators == boolean_transform(dims) == family_counts(30, family, irreducible=True)[1:]
+
+    def test_shares_the_enumeration_cap(self):
+        def refusal(*args, **kwargs):
+            with pytest.raises(CapExceeded) as info:
+                count_family(*args, **kwargs)
+            return str(info.value)
+
+        for family in Family:
+            assert refusal(7, family) == "order 7 exceeds enumeration cap 6"
+            assert refusal(7, family, irreducible=True) == "order 7 exceeds enumeration cap 6"
+            assert refusal(3, family, max_order=2) == "order 3 exceeds enumeration cap 2"
+            assert count_family(0, family) == 1
+            assert count_family(0, family, irreducible=True) == 0
 
     @pytest.mark.parametrize("family", list(Family))
     def test_bullet_counts_equal_leaf_filters_to_order_five(self, family):
@@ -117,8 +166,9 @@ class TestCountFamily:
     def test_transfer_oracle(self):
         oracle = irreducible_counts_by_transfer(40)
         assert oracle == irreducible_count_sequence(40)
-        counted = [count_family(k, Family.ALL, irreducible=True) for k in range(1, 6)]
-        assert oracle[:6] == [*counted, _a6()]
+        walked = [_walk_count(k, Family.ALL, True) for k in range(1, 6)]
+        assert oracle[:6] == [*walked, _a6()]
+        assert family_counts(40, Family.ALL, irreducible=True)[1:] == oracle
 
 
 class TestTensorClosure:
