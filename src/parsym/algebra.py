@@ -9,36 +9,44 @@ side, built once; a word's is the product of its generators' cached images.
 
 The antipode and the E-basis are one regrouping sum over the sets C of a
 word's bullet cuts, which are its tensor factors': sign * (-1)^|C| H(the
-word with every block split at C).  One scan of the word's column spans
-gives its tensor and bullet cuts.  E_d is this sum on d, signed
+word with every block split at C).  E_d is this sum on d, signed
 (-1)^(factors + degree); the antipode of a word of r factors, the reversed
 product of theirs, is this sum on its factors in reverse order, signed
-(-1)^r.  Takeuchi's formula is an independent oracle.
-``FreeHopf.on_generators`` builds the cached maps of ``PARSYM``, whose
-methods are ``coproduct``, ``antipode`` and ``counit``.
+(-1)^r.  A word without bullet cuts is its own sum, one term, so a
+cut-free generator p has S(p) = -p, E_p = (-1)^(order + 1) p and
+Delta(p) = 1 (x) p + p (x) 1.  Takeuchi's formula is an independent oracle.
+
+Every map reads a word's tensor and bullet cuts from one ``column_cuts``
+scan, made once per word: a cache of ``WORD_CACHE_SIZE`` words, as large
+as the word maps' caches, holds them as tuples (one shared ``((), ())``
+for the words with no cut), and splitting a word into its factors enters
+each factor's too, the word's bullet cuts within its columns, shifted, so
+no factor is scanned again.  ``FreeHopf.on_generators`` builds the cached
+maps of ``PARSYM``, whose methods are ``coproduct``, ``antipode`` and
+``counit``.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
+from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import attrgetter
 
 from . import hopfcheck
 from .diagrams import (
     EMPTY_DIAGRAM,
     CapExceeded,
     PartitionDiagram,
-    bullet_cuts,
     column_cuts,
     enumerate_diagrams,
     regroupings,
     render,
     split,
     tensor,
-    tensor_cuts,
-    tensor_factorize,
     tensor_fold,
 )
-from .linear import REGROUPING_CUT_CAP, FreeHopf, LinearCombination, TensorSquare
+from .linear import REGROUPING_CUT_CAP, WORD_CACHE_SIZE, FreeHopf, LinearCombination, TensorSquare
 
 TAKEUCHI_CAP = 4
 MATRIX_CAP = 5
@@ -60,27 +68,62 @@ def h(d: PartitionDiagram) -> ParSymElement:
     return ParSymElement.basis(d)
 
 
+_CutScan = tuple[tuple[int, ...], tuple[int, ...]]
+_CUT_FREE: _CutScan = ((), ())
+# each word's (tensor cuts, bullet cuts) by its labels, hashed in C; the
+# oldest entry goes past the bound
+_SCANS: OrderedDict[tuple[int, ...], _CutScan] = OrderedDict()
+
+
+def _keep(d: PartitionDiagram, scan: _CutScan) -> _CutScan:
+    _SCANS[d.labels] = scan
+    if len(_SCANS) > WORD_CACHE_SIZE:
+        _SCANS.popitem(last=False)
+    return scan
+
+
+def _scan(d: PartitionDiagram) -> _CutScan:
+    # one column_cuts scan per word, read by every map below
+    scan = _SCANS.get(d.labels)
+    if scan is None:
+        at, bullets = column_cuts(d)
+        scan = _keep(d, (tuple(at), tuple(bullets)) if at or bullets else _CUT_FREE)
+    return scan
+
+
 def _factors(d: PartitionDiagram) -> list[PartitionDiagram]:
-    # the tensor-irreducible generators of a word; none for the empty word
-    return tensor_factorize(d) if d.order else []
+    # the tensor-irreducible generators of a word, none for the empty word;
+    # each generator's bullet cuts are the word's within its columns, shifted
+    at, bullets = _scan(d)
+    if not at:
+        return [d] if d.order else []
+    gens = split(d, at)
+    for g, lo, hi in zip(gens, (0, *at), (*at, d.order)):
+        if g.labels not in _SCANS:
+            cuts = tuple(c - lo for c in bullets if lo < c < hi)
+            _keep(g, ((), cuts) if cuts else _CUT_FREE)
+    return gens
 
 
 def _factor_count(d: PartitionDiagram) -> int:
-    return len(tensor_cuts(d)) + 1 if d.order else 0
+    return len(_scan(d)[0]) + 1 if d.order else 0
 
 
 def _generator_split_pairs(pi: PartitionDiagram) -> tuple[tuple[PartitionDiagram, ...], ...]:
     # the splits pi = x . y, empty sides included, left to right
     return (
         (EMPTY_DIAGRAM, pi),
-        *(tuple(split(pi, [c])) for c in bullet_cuts(pi)),
+        *(tuple(split(pi, [c])) for c in _scan(pi)[1]),
         (pi, EMPTY_DIAGRAM),
     )
 
 
-def _regroupings(d: PartitionDiagram, cuts: list[int], sign: int) -> ParSymElement:
+def _regroupings(d: PartitionDiagram, cuts: Sequence[int], sign: int) -> ParSymElement:
     # sign * (-1)^|C| * H(d split at C) over the sets C of d's bullet cuts;
-    # distinct C, distinct words, so the dict needs no collecting
+    # distinct C, distinct words, so the dict needs no collecting.  A
+    # cut-free word is its own one term
+    if not cuts:
+        return ParSymElement._of({d: sign})
     if len(cuts) > REGROUPING_CUT_CAP:
         raise CapExceeded(
             f"{len(cuts)} bullet cuts exceed the cap {REGROUPING_CUT_CAP} (2^{len(cuts)} terms)"
@@ -89,22 +132,27 @@ def _regroupings(d: PartitionDiagram, cuts: list[int], sign: int) -> ParSymEleme
 
 
 def _antipode_word(d: PartitionDiagram) -> ParSymElement:
-    # S(H_pi1...pir) = S(H_pir)...S(H_pi1), one regrouping sum on the reversed word
-    at, cuts = column_cuts(d)
+    # S(H_pi1...pir) = S(H_pir)...S(H_pi1), one regrouping sum on the reversed
+    # word, whose bullet cuts are its factors', moved with them
+    at, cuts = _scan(d)
     if at:
-        d = tensor_fold(reversed(split(d, at)))
-        cuts = column_cuts(d)[1]
+        gens = _factors(d)[::-1]
+        d, cuts, lo = tensor_fold(gens), [], 0
+        for g in gens:
+            cuts += [lo + c for c in _scan(g)[1]]
+            lo += g.order
     return _regroupings(d, cuts, (-1) ** (len(at) + 1) if d.order else 1)
 
 
 PARSYM = FreeHopf.on_generators(
     _factors,
-    lambda pi: DiagramTensor(dict.fromkeys(_generator_split_pairs(pi), 1)),
+    # distinct splits, distinct pairs, so the dict needs no collecting
+    lambda pi: DiagramTensor._of(dict.fromkeys(_generator_split_pairs(pi), 1)),
     _antipode_word,
     name="parsym",
     element=ParSymElement,
     tensor=DiagramTensor,
-    degree=lambda d: d.order,
+    degree=attrgetter("order"),
     basis=enumerate_diagrams,
     render=render,
 )
@@ -122,7 +170,7 @@ def takeuchi_antipode(a: ParSymElement) -> ParSymElement:
 
 def e_basis_expand(d: PartitionDiagram) -> ParSymElement:
     """The elementary-like basis element indexed by d, in the H-basis."""
-    at, cuts = column_cuts(d)
+    at, cuts = _scan(d)
     return _regroupings(d, cuts, (-1) ** (len(at) + 1 + d.order) if d.order else 1)
 
 
@@ -131,7 +179,7 @@ def character_zeta(a: ParSymElement) -> int:
     tensor-irreducible factor is bullet-irreducible (so 1 on both order-one
     diagrams and on the empty diagram), extended linearly."""
     # a word's bullet cuts are those of its factors
-    return sum(coeff for d, coeff in a.terms.items() if not bullet_cuts(d))
+    return sum(coeff for d, coeff in a.terms.items() if not _scan(d)[1])
 
 
 @dataclass(frozen=True)

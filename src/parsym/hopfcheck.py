@@ -8,23 +8,24 @@ linear extensions of the cached word maps.  Multi-leg tensors, which have no
 product, are plain :class:`LinearCombination` values on tuple keys.
 
 Each law on one element is one signed sum: both sides go into one dict,
-one of them negated, and the law holds iff every coefficient is 0.  The
-laws on a single element run law by law over blocks of the pool, each
+one of them negated, and the law holds iff every coefficient is 0.  Each
+key's sum is a one-item list, so a key is hashed once per term.  The laws
+on a single element run law by law over blocks of the pool, each
 element's coproduct fetched once per block.
 
 Takeuchi's formula  S = sum_k (-1)^k mul^(k-1) proj^(x k) Delta^(k-1),
 with proj killing degree zero, is evaluated here on (prefix product, last
-leg) pairs, summed into one element, and used as the oracle for the
-closed-form antipode; folding legs to their degrees instead, the same walk
-gives NSym's QSym image.
+leg) pairs, every level summed into one dict, and used as the oracle for
+the closed-form antipode; folding legs to their degrees instead, the same
+walk gives NSym's QSym image (``folded_coproducts``).
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from itertools import chain
+from operator import itemgetter
 
 from .linear import FreeHopf, LinearCombination
 
@@ -45,44 +46,54 @@ AXIOM_NAMES = (
 )
 
 
+def _folded_levels(hopf: FreeHopf, a: LinearCombination, fold: Callable, start) -> Iterator[dict]:
+    # the walk of folded_coproducts, each level a plain (prefix, last leg) -> coeff dict
+    deg, coproduct_word = hopf.degree, hopf.coproduct_word
+    pairs = {(start, key): c for key, c in a.terms.items() if deg(key)}
+    while pairs:
+        yield pairs
+        level: dict = {}
+        for (p, y), coeff in pairs.items():
+            for (u, v), c in coproduct_word(y).terms.items():
+                if deg(u) and deg(v):
+                    key = (fold(p, u), v)
+                    value = level.get(key, 0) + coeff * c
+                    if value:
+                        level[key] = value
+                    else:
+                        del level[key]
+        pairs = level
+
+
 def folded_coproducts(hopf: FreeHopf, a: LinearCombination, fold: Callable, start) -> Iterator[LinearCombination]:
     """The coproduct iterated to 1, 2, 3, ... legs of positive degree, each
     k-leg term kept as the pair (its first k-1 legs folded into ``start`` by
     ``fold(prefix, leg)`` from the left, its last leg); only the last leg is
     split again, and the walk stops when no such term is left."""
-    deg = hopf.degree
-    pairs = LinearCombination(((start, key), c) for key, c in a.terms.items() if deg(key))
-    while pairs:
-        yield pairs
-        pairs = LinearCombination(
-            ((fold(p, u), v), coeff * c)
-            for (p, y), coeff in pairs.terms.items()
-            for (u, v), c in hopf.coproduct_word(y).terms.items()
-            if deg(u) and deg(v)
-        )
+    return map(LinearCombination._of, _folded_levels(hopf, a, fold, start))
 
 
 def takeuchi(hopf: FreeHopf, a: LinearCombination, degree: int) -> LinearCombination:
     """Evaluate Takeuchi's antipode formula on an element whose nonzero
     terms all live in degrees <= degree, with the first k-1 legs of each
-    k-leg term folded by the product, summed into one element.  The sum
-    truncates at k = degree because each projected leg has positive degree."""
+    k-leg term folded by the product, every level summed into one dict.  The
+    sum truncates at k = degree because each projected leg has positive degree."""
     mul, element = hopf.element._mul_key, hopf.element
-    levels = zip(range(1, degree + 1), folded_coproducts(hopf, a, mul, element.unit))
-    return element(chain(
-        [(element.unit, hopf.counit(a))],
-        ((mul(p, y), (-1) ** k * c) for k, pairs in levels for (p, y), c in pairs.terms.items()),
-    ))
+    # each word's sum is a one-item list, as in _vanishes
+    total = {element.unit: [hopf.counit(a)]}
+    cell = total.setdefault
+    for k, pairs in zip(range(1, degree + 1), _folded_levels(hopf, a, mul, element.unit)):
+        sign = (-1) ** k
+        for (p, y), c in pairs.items():
+            cell(mul(p, y), [0])[0] += sign * c
+    return element._of({key: c for key, (c,) in total.items() if c})
 
 
-def _vanishes(items: Iterable[tuple]) -> bool:
-    """True iff the (key, coeff) items sum to 0 on every key: a law holds iff
-    its two sides, one negated, cancel in one signed sum."""
-    total: dict = {}
-    get = total.get
-    for key, coeff in items:
-        total[key] = get(key, 0) + coeff
-    return not any(total.values())
+def _vanishes(total: dict) -> bool:
+    """True iff every key of a signed sum sums to 0: a law holds iff its two
+    sides, one negated, cancel.  Each key's sum is a one-item list, added to
+    through ``total.setdefault(key, [0])``, so a key is hashed once per term."""
+    return not any(map(itemgetter(0), total.values()))
 
 
 @dataclass(frozen=True)
@@ -145,43 +156,47 @@ def verify_axioms(hopf: FreeHopf, max_degree: int, seed: int) -> AxiomReport:
             yield rng.choice(pool), rng.choice(pool)
 
     # the laws on one pool element read its coproduct; each is one signed sum
-
-    def coproduct_terms(word):
-        return hopf.coproduct_word(word).terms.items()
-
-    def antipode_terms(word):
-        return hopf.antipode_word(word).terms.items()
+    coproduct_word, antipode_word = hopf.coproduct_word, hopf.antipode_word
 
     def coassociative(a, delta) -> bool:
         # (id x Delta) Delta - (Delta x id) Delta = 0
-        pairs = delta.terms.items()
-        return _vanishes(chain(
-            (((u, v, y), coeff * c) for (x, y), coeff in pairs for (u, v), c in coproduct_terms(x)),
-            (((x, u, v), -coeff * c) for (x, y), coeff in pairs for (u, v), c in coproduct_terms(y)),
-        ))
+        total: dict = {}
+        cell = total.setdefault
+        for (x, y), coeff in delta.terms.items():
+            for (u, v), c in coproduct_word(x).terms.items():
+                cell((u, v, y), [0])[0] += coeff * c
+            for (u, v), c in coproduct_word(y).terms.items():
+                cell((x, u, v), [0])[0] -= coeff * c
+        return _vanishes(total)
 
     def counital(a, delta) -> bool:
         # (eps x id) Delta - id = 0 = (id x eps) Delta - id, the two laws keyed apart
-        pairs = delta.terms.items()
-        return _vanishes(chain(
-            (((law, key), -c) for key, c in a.terms.items() for law in (0, 1)),
-            (((0, y), coeff) for (x, y), coeff in pairs if deg(x) == 0),
-            (((1, x), coeff) for (x, y), coeff in pairs if deg(y) == 0),
-        ))
+        total = {(law, key): [-c] for key, c in a.terms.items() for law in (0, 1)}
+        cell = total.setdefault
+        for (x, y), coeff in delta.terms.items():
+            if deg(x) == 0:
+                cell((0, y), [0])[0] += coeff
+            if deg(y) == 0:
+                cell((1, x), [0])[0] += coeff
+        return _vanishes(total)
 
     def antipode_left(a, delta) -> bool:
         # mul (S x id) Delta - unit eps = 0
-        return _vanishes(chain(
-            [(element.unit, -hopf.counit(a))],
-            ((mul(k, y), coeff * c) for (x, y), coeff in delta.terms.items() for k, c in antipode_terms(x)),
-        ))
+        total = {element.unit: [-hopf.counit(a)]}
+        cell = total.setdefault
+        for (x, y), coeff in delta.terms.items():
+            for k, c in antipode_word(x).terms.items():
+                cell(mul(k, y), [0])[0] += coeff * c
+        return _vanishes(total)
 
     def antipode_right(a, delta) -> bool:
         # mul (id x S) Delta - unit eps = 0
-        return _vanishes(chain(
-            [(element.unit, -hopf.counit(a))],
-            ((mul(x, k), coeff * c) for (x, y), coeff in delta.terms.items() for k, c in antipode_terms(y)),
-        ))
+        total = {element.unit: [-hopf.counit(a)]}
+        cell = total.setdefault
+        for (x, y), coeff in delta.terms.items():
+            for k, c in antipode_word(y).terms.items():
+                cell(mul(x, k), [0])[0] += coeff * c
+        return _vanishes(total)
 
     def compatible(a, b) -> bool:
         return hopf.coproduct(a * b) == hopf.coproduct(a) * hopf.coproduct(b)

@@ -28,6 +28,9 @@ from .diagrams import CapExceeded
 
 # 2^19 terms: one per set of cuts in S and E, one per cut choice in Delta
 REGROUPING_CUT_CAP = 19
+# entries of each word cache (both maps here, the diagram algebra's cut
+# scans): every word of degree <= 5, 120,336 diagrams, fits at once
+WORD_CACHE_SIZE = 1 << 17
 
 
 class LinearCombination:
@@ -145,11 +148,9 @@ class TensorSquare(LinearCombination):
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls.unit = (cls.factor.unit, cls.factor.unit)
-
-    @classmethod
-    def _mul_key(cls, left, right):
         mul = cls.factor._mul_key
-        return (mul(left[0], right[0]), mul(left[1], right[1]))
+        # a plain function, bound once per tensor type
+        cls._mul_key = staticmethod(lambda left, right: (mul(left[0], right[0]), mul(left[1], right[1])))
 
 
 class FreeHopf(NamedTuple):
@@ -190,17 +191,24 @@ class FreeHopf(NamedTuple):
         choices (the product of their term counts), and ``antipode_word``
         gives S of a word in closed form; one cache policy for both."""
         tensor = fields["tensor"]
-        cache = functools.lru_cache(maxsize=1 << 16)
+        cache = functools.lru_cache(maxsize=WORD_CACHE_SIZE)
 
         @cache
         def coproduct_word(word):
-            # a one-generator word is built by the generator map, once; a
-            # longer word reads its generators' images from this cache
+            # a one-generator word is the generator map's image, built once;
+            # a longer word reads its generators' images from this cache
             gens = factors(word)
-            legs = list(map(coproduct_word if len(gens) > 1 else coproduct_generator, gens))
-            choices = math.prod(len(leg.terms) for leg in legs)
-            if choices > 2**REGROUPING_CUT_CAP:
-                raise CapExceeded(f"{choices} coproduct cut choices exceed the cap 2^{REGROUPING_CUT_CAP}")
+            if len(gens) == 1:
+                image = coproduct_generator(gens[0])
+                _check_choices(len(image.terms))
+                return image
+            legs = list(map(coproduct_word, gens))
+            _check_choices(math.prod(len(leg.terms) for leg in legs))
             return functools.reduce(tensor.__mul__, legs) if legs else tensor.one()
 
         return cls(coproduct_word=coproduct_word, antipode_word=cache(antipode_word), **fields)
+
+
+def _check_choices(choices: int) -> None:
+    if choices > 2**REGROUPING_CUT_CAP:
+        raise CapExceeded(f"{choices} coproduct cut choices exceed the cap 2^{REGROUPING_CUT_CAP}")

@@ -25,10 +25,11 @@ from __future__ import annotations
 import functools
 import itertools
 import re
+from bisect import bisect
 
 from . import hopfcheck
-from .algebra import PARSYM, ParSymElement, _factors, h
-from .diagrams import CapExceeded, PartitionDiagram, m_statistic, tensor_fold
+from .algebra import PARSYM, ParSymElement, _scan, h
+from .diagrams import CapExceeded, PartitionDiagram, tensor_fold
 from .linear import REGROUPING_CUT_CAP, FreeHopf, LinearCombination, TensorSquare
 from .sequences import compositions
 
@@ -135,12 +136,19 @@ def phi(a: NSymElement) -> ParSymElement:
     return a.extend(lambda alpha: h(tensor_fold(map(phi_generator, alpha))), ParSymElement)
 
 
+def _chi_word(d: PartitionDiagram) -> NSymElement:
+    # a factor's m is one more than the word's bullet cuts between its tensor cuts
+    if not d.order:
+        return nsym_h(())
+    at, bullets = _scan(d)
+    ends = [0, *(bisect(bullets, c) for c in at), len(bullets)]
+    return nsym_h(tuple(hi - lo + 1 for lo, hi in zip(ends, ends[1:])))
+
+
 def chi(a: ParSymElement) -> NSymElement:
     """The projection sending a word to the composition of bullet-statistic
     values of its tensor-irreducible factors."""
-    return a.extend(
-        lambda d: nsym_h(tuple(m_statistic(pi) for pi in _factors(d))), NSymElement
-    )
+    return a.extend(_chi_word, NSymElement)
 
 
 @functools.lru_cache(maxsize=None)

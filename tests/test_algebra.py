@@ -2,7 +2,7 @@ import functools
 import operator
 import random
 import tracemalloc
-from collections import Counter
+from collections import Counter, OrderedDict
 
 import pytest
 from hopf_oracle import (
@@ -27,22 +27,25 @@ from parsym.algebra import (
     takeuchi_antipode,
     verify_hopf_axioms,
 )
-from parsym import algebra, hopfcheck
+from parsym import algebra, cli, diagrams, hopfcheck, linear
 from parsym.diagrams import (
     EMPTY_DIAGRAM,
     CapExceeded,
     PartitionDiagram,
     bullet,
+    column_cuts,
     enumerate_diagrams,
     identity_diagram,
     is_tensor_irreducible,
     m_statistic,
     parse,
+    render,
     tensor,
     tensor_factorize,
     tensor_fold,
 )
 from parsym.linear import FreeHopf
+from parsym.nsym import NSYM, nsym_coproduct, nsym_h
 
 D4 = parse("1,2,3/4/1',2'/3',4'")
 D4_LEFT = parse("1,2,3/1',2'/3'")
@@ -167,6 +170,18 @@ class TestCoproduct:
         with pytest.raises(CapExceeded, match=r"^1048576 coproduct cut choices exceed the cap 2\^19$"):
             coproduct(h(word))
 
+    def test_one_generator_cut_choice_cap(self, monkeypatch):
+        # a one-generator word is its generator's image, still refused past
+        # the cap: three bullet cuts and one part of 4 give 5 split pairs each
+        monkeypatch.setattr(linear, "REGROUPING_CUT_CAP", 2)
+        PARSYM.coproduct_word.cache_clear()
+        NSYM.coproduct_word.cache_clear()
+        message = r"^5 coproduct cut choices exceed the cap 2\^2$"
+        with pytest.raises(CapExceeded, match=message):
+            coproduct(h(parse("1,2,3,4,1',2',3',4'")))
+        with pytest.raises(CapExceeded, match=message):
+            nsym_coproduct(nsym_h((4,)))
+
 
 def _direct_coproduct(pi):
     """Delta of a generator from its bullet-folded split pairs."""
@@ -197,6 +212,52 @@ class TestKernel:
             assert coproduct(h(d)) == expected
 
 
+class TestCutScans:
+    """Every kernel map reads one cached scan of a word's cuts."""
+
+    @pytest.fixture
+    def scanned(self, monkeypatch):
+        # a cold kernel, each cut scan made anywhere recorded by word
+        PARSYM.coproduct_word.cache_clear()
+        PARSYM.antipode_word.cache_clear()
+        monkeypatch.setattr(algebra, "_SCANS", OrderedDict(), raising=False)
+        words = []
+
+        def counting(scan):
+            def counted(d):
+                words.append(d)
+                return scan(d)
+
+            return counted
+
+        for module in (algebra, diagrams):
+            for name in ("column_cuts", "tensor_cuts"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting(getattr(diagrams, name)))
+        return words
+
+    def test_axiom_sweep_scans_each_word_once(self, scanned):
+        assert verify_hopf_axioms(3, 1).all_passed
+        assert len(scanned) == len(set(scanned)) > 200
+
+    def test_matrix_scans_each_word_once(self, scanned):
+        e_h_matrix(3)
+        assert len(scanned) == len(set(scanned)) == 203
+
+    @pytest.mark.parametrize("verb", ["coproduct", "chi", "antipode", "e-expand"])
+    def test_op_scans_a_word_of_three_factors_once(self, scanned, capsys, verb):
+        # the factors' cuts are the word's, so they are read, not scanned
+        word = tensor_fold([D4, SINGLETONS, parse("1,2,1',2'")])
+        assert len(column_cuts(word)[0]) == 2  # the test module's own, uncounted
+        assert cli.main(["op", verb, render(word)]) == 0
+        assert scanned == [word]
+
+    def test_factor_entries_equal_their_scans(self):
+        for d in basis_up_to(4):
+            for g in algebra._factors(d):
+                assert algebra._scan(g) == tuple(map(tuple, column_cuts(g)))
+
+
 class TestCounit:
     def test_values(self):
         assert counit(ParSymElement.one()) == 1
@@ -209,9 +270,14 @@ class TestAntipode:
         assert antipode(ParSymElement.one()) == ParSymElement.one()
 
     def test_primitive_generators_negate(self):
-        for d in basis_up_to(3):
-            if is_tensor_irreducible(d) and m_statistic(d) == 1:
-                assert antipode(h(d)) == -1 * h(d)
+        # a cut-free generator p takes the closed forms: S(p) = -p,
+        # E_p = (-1)^(order + 1) p and Delta(p) = 1 (x) p + p (x) 1
+        primitives = [d for d in basis_up_to(4) if is_tensor_irreducible(d) and m_statistic(d) == 1]
+        assert len(primitives) == 2 + 7 + 115 + 2658
+        for p in primitives:
+            assert antipode(h(p)) == -1 * h(p)
+            assert e_basis_expand(p) == (-1) ** (p.order + 1) * h(p)
+            assert coproduct(h(p)) == DiagramTensor({(EMPTY_DIAGRAM, p): 1, (p, EMPTY_DIAGRAM): 1})
 
     def test_order_four_signed_regrouping(self):
         assert antipode(h(D4)) == -1 * h(D4) + h(tensor(D4_LEFT, SINGLETONS))
