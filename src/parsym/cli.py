@@ -200,8 +200,8 @@ def _run_enumerate(ns) -> int:
 
 
 def _run_count(ns) -> int:
-    # counted with no diagram built: column by column, or per prefix of the
-    # walk for the bullet-irreducible diagrams, those with m = 1
+    # counted column by column with no diagram built; the bullet-irreducible
+    # diagrams are those with m = 1
     family, max_order = _family(ns), _max_order(ns)
     if ns.bullet_irreducible:
         count = count_family_by_m(ns.order, family, max_order, ns.irreducible).get(1, 0)

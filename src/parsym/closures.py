@@ -28,8 +28,8 @@ members are the tensor-irreducible ones with no bullet cut.
 which must equal the Boolean transform of the dimension sequence, from one
 pass of the family's transfer moves (``family_counts``), and
 ``m_distribution`` bins the bullet statistic with ``count_family_by_m``,
-which reads the last node's choices off each prefix of the member walk and
-its column spans.  Neither builds a member.
+a second pass of those moves with the bullet cuts in the state.  Neither
+walks a member.
 """
 
 from __future__ import annotations

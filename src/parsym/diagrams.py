@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import functools
 import re
-from bisect import bisect_left
 from itertools import compress, product
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -243,45 +242,12 @@ def enumerate_diagrams(
     lexicographic order over the node order (Knuth, TAOCP 4A 7.2.1.5); the
     count is the Bell number of 2k.  With a ``rule``, yield only the
     diagrams it admits, in the same order.  The walk is a lazy depth-first
-    loop over one label string; ``count_by_m`` stops the same walk one node
-    early and builds no diagram.  Refuses k beyond the cap, ``max_order``
+    loop over one label string.  Refuses k beyond the cap, ``max_order``
     (default 6)."""
     _check_order(k, max_order)
     # blocks open in slot order, so the labels are already an RGS
     walk = _walk(_slots(k)[0], rule or GrowthRule(), 2 * k)
-    return (_diagram(tuple(labels)) for labels, _, _, _ in walk)
-
-
-def count_by_m(
-    k: int, max_order: int | None = None, rule: GrowthRule | None = None, irreducible: bool = False
-) -> dict[int, int]:
-    """The diagrams ``enumerate_diagrams`` yields, or with ``irreducible``
-    the tensor-irreducible ones, counted per value of the bullet statistic
-    m, in increasing m.  The walk stops before the last node k', whose
-    admitted choices on each prefix are read off the walk's spans, so no
-    diagram is built.  The prefix's bullet cuts left of line k - 1 are the
-    lines i whose i' and (i+1)' share a block crossing i alone.  A join of
-    k' to block y crosses every line from y's last column on once more, so
-    it keeps the cuts left of that column, and it adds the cut k - 1 iff y
-    holds (k-1)' and then crosses that line alone; an open keeps every
-    cut."""
-    _check_order(k, max_order)
-    if k == 0:
-        return {} if irreducible else {0: 1}
-    joins, opens, _ = rule = rule or GrowthRule()
-    free = joins is _always
-    tally = [0] * (k + 1)  # tally[m]
-    for labels, blocks, seen, (first, last, cov) in _walk(_slots(k)[0], rule, 2 * k - 1, True):
-        cut = cov.index(0, 1) if irreducible else k
-        cuts = [i for i in range(1, k - 1) if cov[i] == 1 and labels[k + i - 1] == labels[k + i]]
-        end = labels[-1] if k > 1 else None  # the block of (k-1)'
-        for x in range(len(blocks)) if seen is None else seen:
-            if first[x] <= cut and (free or joins(blocks, blocks[x], -k)):
-                hi = last[x]
-                tally[1 + bisect_left(cuts, hi) + (x == end and cov[k - 1] + (hi < k) == 1)] += 1
-        if cut == k and opens(blocks, -k, 0):
-            tally[1 + len(cuts)] += 1
-    return {m: n for m, n in enumerate(tally) if n}
+    return (_diagram(tuple(labels)) for labels, _, _ in walk)
 
 
 def _uncrossed(seen: tuple[int, ...], blocks: list[list[int]], x: int, turn: bool) -> tuple[int, ...]:
@@ -305,33 +271,20 @@ def _uncrossed(seen: tuple[int, ...], blocks: list[list[int]], x: int, turn: boo
 
 
 def _walk(
-    nodes: tuple[int, ...], rule: GrowthRule, stop: int, spans: bool = False
-) -> Iterator[tuple[list, list, tuple | None, tuple | None]]:
-    """The live (labels, blocks, seen, span) of each admitted placement of
-    the first ``stop`` nodes in order; the lists change as the walk goes on.
+    nodes: tuple[int, ...], rule: GrowthRule, stop: int
+) -> Iterator[tuple[list, list, tuple | None]]:
+    """The live (labels, blocks, seen) of each admitted placement of the
+    first ``stop`` nodes in order; the lists change as the walk goes on.
     Under a noncrossing rule ``seen`` holds the blocks the next node can
-    join without a crossing, else it is None.  With ``spans``, ``span`` is
-    (first, last, cov): each block's first and last column, and cov[i] the
-    number of blocks crossing the line i between columns i and i+1, for
-    i = 1..k-1, with cov[k] = 0, so ``cov.index(0, 1)`` is the first
-    uncrossed line or k; else it is None."""
+    join without a crossing, else it is None."""
     joins, opens, noncrossing = rule
     n = len(nodes)
     k = n // 2
     labels: list[int] = []
     blocks: list[list[int]] = []
     # one entry per depth: under a noncrossing rule seens[i] holds the
-    # blocks node i can join uncrossed, else it stays [None]; with spans
-    # olds[i] holds the span end node i moved, for the backtrack to restore:
-    # the old last column, minus the old first column, or 0 for neither
+    # blocks node i can join uncrossed, else it stays [None]
     seens: list = [()] if noncrossing else [None]
-    olds: list[int] = []
-    columns = [abs(v) for v in nodes]
-    first: list[int] = []
-    last: list[int] = []
-    cov = [0] * (k + 1)
-    span = (first, last, cov) if spans else None
-    state = noncrossing or spans
     x = 0  # the next block to try for node len(labels); len(blocks) opens one
     while True:
         i = len(labels)
@@ -349,65 +302,22 @@ def _walk(
                     blocks.append([])
                 blocks[x].append(v)
                 labels.append(x)
-                if state:
-                    if seen is not None:
-                        seens.append(_uncrossed(seen, blocks, x, i + 1 == k))
-                    if spans:
-                        # columns arrive in order, so a join reaches past one
-                        # end of the block's span or lies inside it
-                        c = columns[i]
-                        if x == len(first):
-                            first.append(c)
-                            last.append(c)
-                            olds.append(0)
-                        elif c > last[x]:
-                            line = last[x]
-                            olds.append(line)
-                            last[x] = c
-                            while line < c:
-                                cov[line] += 1
-                                line += 1
-                        elif c < first[x]:
-                            line = first[x]
-                            olds.append(-line)
-                            first[x] = c
-                            while c < line:
-                                cov[c] += 1
-                                c += 1
-                        else:
-                            olds.append(0)
+                if seen is not None:
+                    seens.append(_uncrossed(seen, blocks, x, i + 1 == k))
                 x = 0
                 continue
         else:
-            yield labels, blocks, seen, span
+            yield labels, blocks, seen
         if not labels:
             return
         # backtrack: take the last node off and try its next block
         x = labels.pop()
-        if state:
-            if seen is not None:
-                seens.pop()
-            if spans:
-                line = olds.pop()
-                if line > 0:
-                    c = last[x]
-                    last[x] = line
-                    while line < c:
-                        cov[line] -= 1
-                        line += 1
-                elif line < 0:
-                    c = first[x]
-                    first[x] = line = -line
-                    while c < line:
-                        cov[c] -= 1
-                        c += 1
+        if seen is not None:
+            seens.pop()
         b = blocks[x]
         b.pop()
         if not b:
             blocks.pop()
-            if spans:
-                first.pop()
-                last.pop()
         x += 1
 
 

@@ -11,17 +11,18 @@ Each family is defined once, by a ``GrowthRule`` over the node order
 * the three planar-* tags are conjunctions (Temperley-Lieb, Motzkin,
   planar rook).
 
-The empty diagram belongs to every family.  ``enumerate_family`` and
-``count_family_by_m`` prune the walk of ``enumerate_diagrams`` with the
-rule.  That walk is the one membership route: the closure certificate looks
-a diagram up among the members it yielded.  The planar rules are
-``noncrossing``: the walk keeps the blocks the next node can join without a
-crossing as state, so no join scans the blocks.
+The empty diagram belongs to every family.  ``enumerate_family`` prunes
+the walk of ``enumerate_diagrams`` with the rule.  That walk is the one
+membership route: the closure certificate looks a diagram up among the
+members it yielded.  The planar rules are ``noncrossing``: the walk keeps
+the blocks the next node can join without a crossing as state, so no join
+scans the blocks.
 
-``count_family`` and ``family_counts`` walk no member: each family also has
-a move table, ``_MOVES``, for a transfer count column by column over its
-open blocks (the transfer-matrix method, Stanley, *Enumerative
-Combinatorics I*, 4.7).
+The counts walk no member: each family also has a move table, ``_MOVES``,
+for a transfer count column by column over its open blocks (the
+transfer-matrix method, Stanley, *Enumerative Combinatorics I*, 4.7), read
+by ``count_family`` and ``family_counts``.  ``count_family_by_m`` runs the
+block families' moves again with the bullet cuts in the state.
 """
 
 from __future__ import annotations
@@ -29,13 +30,7 @@ from __future__ import annotations
 import enum
 from typing import Callable, Iterator
 
-from .diagrams import (
-    GrowthRule,
-    PartitionDiagram,
-    _check_order,
-    count_by_m,
-    enumerate_diagrams,
-)
+from .diagrams import GrowthRule, PartitionDiagram, _check_order, enumerate_diagrams
 
 
 class Family(enum.Enum):
@@ -111,6 +106,33 @@ def _blocks(lone: bool, keep: bool, planar: bool) -> tuple[int, Callable]:
     return 0, moves
 
 
+def _cut_blocks(lone: bool, keep: bool, planar: bool) -> tuple[Callable, Callable]:
+    """The moves of ``_blocks`` on (s, f) for a top node and for a bottom
+    one, each with the bullet cuts it adds.  A bullet cut at line i needs one
+    block B open across it, holding i' and joined by (i+1)': f is 1 after a
+    bottom node iff s = 1 and the node lies in the open block, and after a
+    top node iff that block is still open.  A block the top node opened
+    nests above B, so a ``planar`` bottom node then reaches only B."""
+
+    def top(s: int, f: int) -> tuple[tuple[tuple[int, int], int, int], ...]:
+        reach = min(s, 1) if planar else s
+        return ((s, f), lone + keep * reach, 0), ((s + 1, f), 1, 0), ((s - 1, 0), reach, 0)
+
+    def bottom(s: int, f: int) -> tuple[tuple[tuple[int, int], int, int], ...]:
+        other = (min(s, 1) if planar else s) - f  # the open blocks it reaches but B
+        alone = int(s == 1)
+        return (
+            ((s, 0), lone, 0),
+            ((s + 1, int(s == 0)), 1, 0),
+            ((s, alone), keep * other, 0),
+            ((s - 1, 0), other, 0),
+            ((s, alone), keep * f, 1),
+            ((s - 1, 0), f, 1),
+        )
+
+    return top, bottom
+
+
 def _pairs(lone: bool, planar: bool) -> tuple[tuple[int, int], Callable]:
     """Moves on (m, o), the lone nodes waiting for a partner in the other
     row, m of them in the next node's row and o in the other: the node stays
@@ -137,6 +159,17 @@ _MOVES = {
     Family.PLANAR_PERFECT_MATCHING: _blocks(lone=False, keep=False, planar=True),
     Family.PLANAR_MATCHING: _blocks(lone=True, keep=False, planar=True),
     Family.PLANAR_PARTIAL_PERMUTATION: _pairs(lone=True, planar=True),
+}
+
+# the block families' moves again, carrying bullet cuts; no block of the pair
+# families holds two bottom nodes, so they have none
+_CUT_MOVES = {
+    Family.ALL: _cut_blocks(lone=True, keep=True, planar=False),
+    Family.PLANAR: _cut_blocks(lone=True, keep=True, planar=True),
+    Family.MATCHING: _cut_blocks(lone=True, keep=False, planar=False),
+    Family.PERFECT_MATCHING: _cut_blocks(lone=False, keep=False, planar=False),
+    Family.PLANAR_PERFECT_MATCHING: _cut_blocks(lone=False, keep=False, planar=True),
+    Family.PLANAR_MATCHING: _cut_blocks(lone=True, keep=False, planar=True),
 }
 
 
@@ -179,5 +212,25 @@ def count_family_by_m(
     k: int, family: Family, max_order: int | None = None, irreducible: bool = False
 ) -> dict[int, int]:
     """Members of order k, or tensor-irreducible ones, per value of the
-    bullet statistic m, counted without building one."""
-    return count_by_m(k, max_order, _RULES.get(family), irreducible)
+    bullet statistic m, in increasing m, under the enumeration cap.  m is
+    one more than the bullet cuts, which one pass of the cut-carrying moves
+    counts column by column with no member built, dropping the zero state
+    before the next column as ``family_counts`` does."""
+    _check_order(k, max_order)
+    if k == 0:
+        return {} if irreducible else {0: 1}
+    if family not in _CUT_MOVES:
+        return {1: family_counts(k, family, irreducible)[k]}
+    weights = {(0, 0, 0): 1}  # (s, f, bullet cuts) -> prefixes
+    for column in range(k):
+        for moves in _CUT_MOVES[family]:
+            step: dict = {}
+            for (s, f, cuts), w in weights.items():
+                for (t, g), ways, cut in moves(s, f):
+                    if ways:
+                        key = t, g, cuts + cut
+                        step[key] = step.get(key, 0) + ways * w
+            weights = step
+        if irreducible and column < k - 1:
+            weights = {key: w for key, w in weights.items() if key[0]}
+    return {cuts + 1: w for (s, _, cuts), w in sorted(weights.items()) if not s}

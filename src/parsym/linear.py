@@ -211,4 +211,7 @@ class FreeHopf(NamedTuple):
 
 def _check_choices(choices: int) -> None:
     if choices > 2**REGROUPING_CUT_CAP:
-        raise CapExceeded(f"{choices} coproduct cut choices exceed the cap 2^{REGROUPING_CUT_CAP}")
+        # a long word's count runs to thousands of digits: give its power of two
+        bits = choices.bit_length()
+        count = choices if bits <= 64 else f"at least 2^{bits - 1}"
+        raise CapExceeded(f"{count} coproduct cut choices exceed the cap 2^{REGROUPING_CUT_CAP}")

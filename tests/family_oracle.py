@@ -4,25 +4,27 @@ Membership is decided by predicates over the ``blocks`` view, the
 dimensions by the closed-form sums, the generator counts of the full
 family by a transfer count over open blocks, and its m histogram by powers
 of their generating function.  The library defines each family by its
-``GrowthRule``, and its counts by a move table; the tests compare
+``GrowthRule``, and its counts by move tables; the tests compare
 ``enumerate_family``, ``count_family``, ``count_family_by_m`` and
 ``family_dimension_sequence`` against these.
 
 It also holds routes the library does not need: ``family_member``, which
 replays a diagram's labels through the family's rule node by node (the
-library's one membership route is the walk), ``count_diagrams``, which
-counts the members on the rule's walk stopped one node early (the library
-counts them column by column over the open blocks), the Boolean transform
-by the proper-composition recursion and by its generating function (the
-library uses one convolution recurrence), its inverse, the odd double
-factorials, the primitive basis diagrams by their bullet statistic, and
-the closure certificate that tests every tensor factor and every piece
-between two bullet cuts (it follows the family's rule, so it also serves
-fake rules).
+library's one membership route is the walk), ``count_diagrams`` and
+``count_by_m``, which count the members, and the members per value of m,
+on the rule's walk stopped one node early, reading each prefix's column
+spans off its blocks (the library counts both column by column over the
+open blocks), the Boolean transform by the proper-composition recursion
+and by its generating function (the library uses one convolution
+recurrence), its inverse, the odd double factorials, the primitive basis
+diagrams by their bullet statistic, and the closure certificate that tests
+every tensor factor and every piece between two bullet cuts (it follows
+the family's rule, so it also serves fake rules).
 """
 
 import math
-from itertools import combinations
+from bisect import bisect_left
+from itertools import accumulate, combinations
 from typing import Sequence
 
 from parsym.closures import ClosureReport, DegreeChecks
@@ -188,26 +190,41 @@ def family_member(d: PartitionDiagram, family: Family) -> bool:
     return True
 
 
+def _spans(blocks: list[list[int]], k: int) -> tuple[list[int], list[int], list[int]]:
+    """Each block's first and last column, and cov[i] the number of blocks
+    crossing the line i between columns i and i+1, for i = 1..k-1, with
+    cov[k] = 0, so ``cov.index(0, 1)`` is the first uncrossed line or k."""
+    first, last = [], []
+    delta = [0] * (k + 1)  # the change in crossing blocks at each line
+    for b in blocks:
+        columns = sorted(map(abs, b))
+        first.append(columns[0])
+        last.append(columns[-1])
+        delta[columns[0]] += 1
+        delta[columns[-1]] -= 1
+    return first, last, list(accumulate(delta))
+
+
 def count_diagrams(
     k: int, max_order: int | None = None, rule: GrowthRule | None = None, irreducible: bool = False
 ) -> int:
     """The number of diagrams ``enumerate_diagrams`` yields, or with
     ``irreducible`` of the tensor-irreducible ones, under the same cap.
     No diagram is built: the walk stops before the last node k' and counts
-    its admitted choices on each prefix.  With ``irreducible`` the walk
-    keeps its spans, and the prefix's first uncrossed line ``cut`` (k if
-    none) settles each choice: k' alone crosses no line, so an open leaves
-    no tensor cut iff cut is k, and a join to block y iff y lies at or left
-    of cut, since it then crosses every line from y's first column on."""
+    its admitted choices on each prefix.  With ``irreducible`` the prefix's
+    first uncrossed line ``cut`` (k if none) settles each choice: k' alone
+    crosses no line, so an open leaves no tensor cut iff cut is k, and a
+    join to block y iff y lies at or left of cut, since it then crosses
+    every line from y's first column on."""
     _check_order(k, max_order)
     if k == 0:
         return int(not irreducible)
     joins, opens, _ = rule = rule or GrowthRule()
     free = joins is _always  # k' may join every block it can reach
     count = 0
-    for _, blocks, seen, span in _walk(_slots(k)[0], rule, 2 * k - 1, irreducible):
+    for _, blocks, seen in _walk(_slots(k)[0], rule, 2 * k - 1):
         if irreducible:
-            first, _, cov = span
+            first, _, cov = _spans(blocks, k)
             cut = cov.index(0, 1)
             if cut < k:
                 left = [x for x in (range(len(blocks)) if seen is None else seen) if first[x] <= cut]
@@ -219,6 +236,39 @@ def count_diagrams(
         else:
             count += sum(joins(blocks, b, -k) for b in choices) + opens(blocks, -k, 0)
     return count
+
+
+def count_by_m(
+    k: int, max_order: int | None = None, rule: GrowthRule | None = None, irreducible: bool = False
+) -> dict[int, int]:
+    """The diagrams ``enumerate_diagrams`` yields, or with ``irreducible``
+    the tensor-irreducible ones, counted per value of the bullet statistic
+    m, in increasing m.  The walk stops before the last node k', whose
+    admitted choices on each prefix are read off the prefix's spans, so no
+    diagram is built.  The prefix's bullet cuts left of line k - 1 are the
+    lines i whose i' and (i+1)' share a block crossing i alone.  A join of
+    k' to block y crosses every line from y's last column on once more, so
+    it keeps the cuts left of that column, and it adds the cut k - 1 iff y
+    holds (k-1)' and then crosses that line alone; an open keeps every
+    cut."""
+    _check_order(k, max_order)
+    if k == 0:
+        return {} if irreducible else {0: 1}
+    joins, opens, _ = rule = rule or GrowthRule()
+    free = joins is _always
+    tally = [0] * (k + 1)  # tally[m]
+    for labels, blocks, seen in _walk(_slots(k)[0], rule, 2 * k - 1):
+        first, last, cov = _spans(blocks, k)
+        cut = cov.index(0, 1) if irreducible else k
+        cuts = [i for i in range(1, k - 1) if cov[i] == 1 and labels[k + i - 1] == labels[k + i]]
+        end = labels[-1] if k > 1 else None  # the block of (k-1)'
+        for x in range(len(blocks)) if seen is None else seen:
+            if first[x] <= cut and (free or joins(blocks, blocks[x], -k)):
+                hi = last[x]
+                tally[1 + bisect_left(cuts, hi) + (x == end and cov[k - 1] + (hi < k) == 1)] += 1
+        if cut == k and opens(blocks, -k, 0):
+            tally[1 + len(cuts)] += 1
+    return {m: n for m, n in enumerate(tally) if n}
 
 
 def closed_form_dimension(family: Family, k: int) -> int:

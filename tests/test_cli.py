@@ -133,6 +133,18 @@ class TestOps:
         assert (code, out) == (2, "")
         assert err == "error: 1048576 coproduct cut choices exceed the cap 2^19\n"
 
+    @pytest.mark.parametrize("factors", [4000, 15000])
+    def test_coproduct_refusal_on_a_long_word_is_one_short_line(self, capsys, tmp_path, factors):
+        # 1/1'/2/2'/...: one-column factors with two splits each, so 2^factors
+        # cut choices, 1,205 digits at 4,000 factors and at 15,000 more than
+        # str() converts
+        target = tmp_path / "word.txt"
+        target.write_text("/".join(f"{i}/{i}'" for i in range(1, factors + 1)), encoding="utf-8")
+        code, out, err = run_cli(capsys, "op", "coproduct", f"@{target}")
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and len(err) < 200
+        assert err.endswith(" coproduct cut choices exceed the cap 2^19\n")
+
     def test_file_input(self, capsys, tmp_path):
         target = tmp_path / "diagram.txt"
         target.write_text("1,1'\n", encoding="utf-8")
@@ -254,8 +266,7 @@ class TestEnumerateCount:
 
     def test_order_six_counts(self, capsys):
         # the bullet-irreducible diagrams number a_k, as the tensor-irreducible
-        # ones do; --bullet-irreducible walks all of order 6, --irreducible
-        # counts column by column
+        # ones do; both are counted column by column
         a6 = irreducible_counts_by_transfer(6)[-1]
         for flag in ("--irreducible", "--bullet-irreducible"):
             assert run_cli(capsys, "count", "--order", "6", flag) == (0, f"{a6}\n", "")
@@ -278,6 +289,24 @@ class TestEnumerateCount:
         with pytest.raises(AssertionError):
             run_cli(capsys, "enumerate", "--order", "1")
         assert [run_cli(capsys, *argv) for argv in runs] == expected
+
+    def test_no_count_path_walks(self, capsys, monkeypatch):
+        # every count, m histogram and generator count is a transfer pass, so
+        # each answers at order 6 for every family with the member walk gone
+        def no_walk(*args, **kwargs):
+            raise AssertionError("a member walk was started")
+
+        monkeypatch.setattr(diagrams, "_walk", no_walk)
+        monkeypatch.setattr(cli, "enumerate_family", no_walk)
+        monkeypatch.setattr(closures, "enumerate_family", no_walk)
+        with pytest.raises(AssertionError):
+            list(enumerate_diagrams(1))
+        for family in Family:
+            chosen = ("--family", family.value)
+            for flags in [(), ("--irreducible",), ("--bullet-irreducible",), ("--irreducible", "--bullet-irreducible")]:
+                assert run_cli(capsys, "count", "--order", "6", *flags, *chosen)[0] == 0
+            assert run_cli(capsys, "hist", "m", "--order", "6", *chosen)[0] == 0
+            assert run_cli(capsys, "verify", "counts", "--terms", "6", *chosen)[0] == 0
 
 
 class TestSeq:

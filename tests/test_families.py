@@ -3,9 +3,11 @@ from collections import Counter
 
 import pytest
 from family_oracle import (
+    count_by_m,
     count_diagrams,
     family_member,
     irreducible_counts_by_transfer,
+    m_counts_by_series,
     oracle_member,
 )
 from hypothesis import given, settings
@@ -169,6 +171,52 @@ class TestCountFamily:
         walked = [_walk_count(k, Family.ALL, True) for k in range(1, 6)]
         assert oracle[:6] == [*walked, _a6()]
         assert family_counts(40, Family.ALL, irreducible=True)[1:] == oracle
+
+
+@functools.cache
+def _walk_by_m(k, family, irreducible):
+    return count_by_m(k, rule=_RULES.get(family), irreducible=irreducible)
+
+
+class TestCountFamilyByM:
+    """``count_family_by_m`` carries the bullet cuts in the transfer state;
+    the oracle ``count_by_m`` reads them off each prefix of the rule's walk,
+    and ``m_counts_by_series`` off powers of the generators' series."""
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_equals_walk_histograms_to_order_six(self, family):
+        for k in range(7):
+            for irreducible in (False, True):
+                counted = count_family_by_m(k, family, irreducible=irreducible)
+                assert list(counted.items()) == list(_walk_by_m(k, family, irreducible).items()), (k, irreducible)
+
+    def test_series_oracle_beyond_the_cap(self):
+        for k in range(1, 31):
+            assert count_family_by_m(k, Family.ALL, max_order=k) == m_counts_by_series(k), k
+
+    def test_primitive_counts_to_order_seven(self):
+        # the tensor-irreducible diagrams with m = 1: the primitive generators
+        primitives = [count_family_by_m(k, Family.ALL, 7, irreducible=True)[1] for k in range(1, 8)]
+        assert primitives == [2, 7, 115, 2658, 82491, 3235343, 154973834]
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_sums_equal_the_counts_to_order_twelve(self, family):
+        for irreducible in (False, True):
+            sums = [sum(count_family_by_m(k, family, 12, irreducible).values()) for k in range(13)]
+            assert sums == family_counts(12, family, irreducible), irreducible
+
+    def test_series_is_an_oracle_for_all_only(self):
+        # the m = 1 members number the Boolean transform of the dimensions
+        # only in a family closed under the bullet product, which matching
+        # and perfect matching are not: 1,1' . 1,1' is 1,2,1',2'
+        def m_one_and_boolean(family):
+            boolean = boolean_transform(family_dimension_sequence(family, 2))
+            return count_family_by_m(2, family)[1], boolean[1]
+
+        assert m_one_and_boolean(Family.MATCHING) == (9, 6)
+        assert m_one_and_boolean(Family.PERFECT_MATCHING) == (3, 2)
+        m_one, boolean = m_one_and_boolean(Family.PLANAR)
+        assert m_one == boolean
 
 
 class TestTensorClosure:
